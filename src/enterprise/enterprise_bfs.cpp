@@ -76,11 +76,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   status.visit(source, 0);
   parents[source] = source;
 
-  const unsigned scan_threads =
-      options_.scan_threads != 0
-          ? options_.scan_threads
-          : options_.device.num_smx * 4096;
-  FrontierQueueGenerator gen(device_->memory(), scan_threads);
+  FrontierQueueGenerator gen(
+      device_->memory(),
+      scan_launch_width(options_.scan_threads, options_.device));
   HubCache cache(options_.hub_cache_capacity);
 
   bfs::BfsResult result;
@@ -427,8 +425,6 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     const QueueOrder order = bottom_up ? bu_order : QueueOrder::kScattered;
 
     if (options_.workload_balancing) {
-      // Classification happens alongside queue generation (§4.2); it is a
-      // visible overhead (Fig. 8's +5 ms) ahead of the concurrent kernels.
       // Classification happens alongside queue generation (§4.2: each scan
       // thread routes discovered frontiers into one of four bins by
       // out-degree), so its work joins the level's concurrent group rather

@@ -101,6 +101,13 @@ struct EnterpriseOptions {
   bfs::IntegrityOptions integrity;
 };
 
+// Frontier-scan launch width: `scan_threads` when set, else the auto width
+// of 4096 threads per SMX of `device` (EnterpriseOptions::scan_threads).
+inline unsigned scan_launch_width(unsigned scan_threads,
+                                  const sim::DeviceSpec& device) {
+  return scan_threads != 0 ? scan_threads : device.num_smx * 4096;
+}
+
 class EnterpriseBfs {
  public:
   // Keeps a reference to `g`; builds the in-edge CSR for directed graphs.
@@ -122,8 +129,6 @@ class EnterpriseBfs {
   const EnterpriseOptions& options() const { return options_; }
 
  private:
-  struct Impl;
-
   const graph::Csr* graph_;
   const graph::Csr* in_edges_;           // == graph_ when undirected
   std::optional<graph::Csr> in_storage_;  // owns reverse CSR when directed

@@ -28,9 +28,8 @@ void FrontierQueueGenerator::charge_scan(sim::KernelRecord& record,
   sim::WarpAccumulator acc(mm_->spec().warp_size);
   const std::uint64_t launched = std::min<std::uint64_t>(
       threads, std::max<std::uint64_t>(elements_scanned, 1));
-  for (std::uint64_t t = 0; t < launched; ++t) {
-    acc.add_thread(per_thread * kScanCycles + bin_share * kBinWriteCycles);
-  }
+  acc.add_threads(launched,
+                  per_thread * kScanCycles + bin_share * kBinWriteCycles);
   acc.finish();
   record.warp_cycles += acc.warp_cycles();
   record.thread_cycles += acc.thread_cycles();
@@ -65,10 +64,30 @@ std::vector<vertex_t> FrontierQueueGenerator::top_down(
 std::vector<vertex_t> FrontierQueueGenerator::top_down(
     const StatusArray& status, std::int32_t level, vertex_t begin,
     vertex_t end, sim::KernelRecord& record) const {
+  // Host scan: count matches per fixed block (a constant-trip loop the
+  // compiler vectorizes), then gather only the blocks that hold one. Every
+  // status is still read each level, so an injected status flip shows up in
+  // the queue exactly as the device scan would see it; the queue comes out
+  // ascending.
+  ENT_ASSERT(begin <= end && end <= status.size());
+  constexpr vertex_t kBlock = 256;
+  const std::int32_t* const levels = status.data().data();
   std::vector<vertex_t> queue;
-  for (vertex_t v = begin; v < end; ++v) {
-    if (status.level(v) == level) queue.push_back(v);
+  const auto gather = [&](vertex_t from, vertex_t to) {
+    for (vertex_t v = from; v < to; ++v) {
+      if (levels[v] == level) queue.push_back(v);
+    }
+  };
+  vertex_t block = begin;
+  for (; end - block >= kBlock; block += kBlock) {
+    const std::int32_t* const chunk = levels + block;
+    std::uint32_t matches = 0;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      matches += chunk[i] == level ? 1u : 0u;
+    }
+    if (matches != 0) gather(block, block + kBlock);
   }
+  gather(block, end);  // the tail shorter than one block
   // Interleaved scan: thread t covers {t, t+T, ...}, so consecutive threads
   // read consecutive statuses — fully coalesced. The concatenated bins put
   // the queue out of vertex order; the cost model tags downstream adjacency

@@ -46,9 +46,9 @@ class FrontierQueueGenerator {
  public:
   FrontierQueueGenerator(const sim::MemoryModel& mm, unsigned scan_threads);
 
-  // Queue of vertices with status == level, interleaved thread order. The
-  // range overload scans only [begin, end) — one GPU's private slice in the
-  // multi-GPU system (§4.4).
+  // Queue of vertices with status == level in ascending id order, charged as
+  // the interleaved scan. The range overload scans only [begin, end) — one
+  // GPU's private slice in the multi-GPU system (§4.4).
   std::vector<graph::vertex_t> top_down(const StatusArray& status,
                                         std::int32_t level,
                                         sim::KernelRecord& record) const;

@@ -454,8 +454,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         switched = true;
         double max_scan = 0.0;
         for (unsigned p = 0; p < P; ++p) {
-          FrontierQueueGenerator gen(system_.device(p).memory(),
-                                     (eopt.scan_threads != 0 ? eopt.scan_threads : eopt.device.num_smx * 4096) / P + 1);
+          FrontierQueueGenerator gen(
+              system_.device(p).memory(),
+              scan_launch_width(eopt.scan_threads, eopt.device) / P + 1);
           sim::KernelRecord rec;
           rec.name = "queue_gen(switch)";
           HubRefill refill;
@@ -706,7 +707,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     std::vector<double> qgen_ms(P, 0.0);
     for (unsigned p = 0; p < P; ++p) {
       sim::Device& dev = system_.device(p);
-      FrontierQueueGenerator gen(dev.memory(), (eopt.scan_threads != 0 ? eopt.scan_threads : eopt.device.num_smx * 4096) / P + 1);
+      FrontierQueueGenerator gen(
+          dev.memory(),
+          scan_launch_width(eopt.scan_threads, eopt.device) / P + 1);
       sim::KernelRecord rec;
       if (!bottom_up) {
         rec.name = "queue_gen(top-down)";

@@ -116,8 +116,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   for (const vertex_t v : frontier) first_touch[v] = 0;
 
   const unsigned scan_threads_total =
-      options_.scan_threads != 0 ? options_.scan_threads
-                                 : options_.device.num_smx * 4096;
+      scan_launch_width(options_.scan_threads, options_.device);
   const unsigned scan_threads =
       P == 1 ? scan_threads_total : scan_threads_total / P + 1;
 

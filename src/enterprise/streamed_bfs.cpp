@@ -106,11 +106,9 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
   status.visit(source, 0);
   parents[source] = source;
 
-  const unsigned scan_threads =
-      options_.core.scan_threads != 0
-          ? options_.core.scan_threads
-          : options_.core.device.num_smx * 4096;
-  FrontierQueueGenerator gen(device_->memory(), scan_threads);
+  FrontierQueueGenerator gen(
+      device_->memory(),
+      scan_launch_width(options_.core.scan_threads, options_.core.device));
   HubCache cache(options_.core.hub_cache_capacity);
 
   bfs::BfsResult result;

@@ -25,6 +25,28 @@ void WarpAccumulator::add_thread(std::uint64_t work_cycles) {
   if (++lane_ == warp_size_) finish();
 }
 
+void WarpAccumulator::add_threads(std::uint64_t count,
+                                  std::uint64_t work_cycles) {
+  if (count == 0) return;
+  thread_cycles_ += count * work_cycles;
+  threads_ += count;
+  if (work_cycles > 0) active_threads_ += count;
+  // Top up the open warp; it closes only if the launch reaches its end.
+  const std::uint64_t fill =
+      std::min<std::uint64_t>(count, warp_size_ - lane_);
+  current_max_ = std::max(current_max_, work_cycles);
+  lane_ += static_cast<unsigned>(fill);
+  if (lane_ == warp_size_) finish();
+  // The rest forms whole warps of equal cost plus an open partial warp.
+  const std::uint64_t rest = count - fill;
+  warp_cycles_ += rest / warp_size_ * work_cycles;
+  warps_ += rest / warp_size_;
+  if (rest % warp_size_ != 0) {
+    lane_ = static_cast<unsigned>(rest % warp_size_);
+    current_max_ = work_cycles;
+  }
+}
+
 void WarpAccumulator::finish() {
   if (lane_ == 0) return;
   warp_cycles_ += current_max_;

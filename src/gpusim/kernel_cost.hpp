@@ -60,6 +60,9 @@ class WarpAccumulator {
   explicit WarpAccumulator(unsigned warp_size) : warp_size_(warp_size) {}
 
   void add_thread(std::uint64_t work_cycles);
+  // Same totals as `count` add_thread(work_cycles) calls, in O(1): a uniform
+  // launch costs host time per distinct work item, not per thread.
+  void add_threads(std::uint64_t count, std::uint64_t work_cycles);
   // Flushes a partial warp (idle lanes cost nothing extra beyond the max).
   void finish();
 

@@ -176,6 +176,30 @@ TEST_F(QueueGenTest, TopDownRangeRestricts) {
   EXPECT_EQ(queue, (std::vector<vertex_t>{5}));
 }
 
+TEST_F(QueueGenTest, TopDownBlockScanMatchesPlainScan) {
+  // 5 full 256-entry blocks plus a 77-entry tail; matches sit in the first
+  // block, the last full block and the tail, with decoys at other levels.
+  const vertex_t n = 5 * 256 + 77;
+  StatusArray sa(n);
+  for (vertex_t v : {0u, 3u, 255u, 1024u, 1100u, 1279u, 1280u, n - 1}) {
+    sa.visit(v, 4);
+  }
+  for (vertex_t v = 1; v < n; v += 97) {
+    if (sa.level(v) != 4) sa.visit(v, 3);
+  }
+  const auto plain_scan = [&](vertex_t begin, vertex_t end) {
+    std::vector<vertex_t> q;
+    for (vertex_t v = begin; v < end; ++v) {
+      if (sa.level(v) == 4) q.push_back(v);
+    }
+    return q;
+  };
+  sim::KernelRecord rec;
+  EXPECT_EQ(gen_.top_down(sa, 4, rec), plain_scan(0, n));
+  // A range whose blocks start off the 256 grid (one multi-GPU slice).
+  EXPECT_EQ(gen_.top_down(sa, 4, 2, 1281, rec), plain_scan(2, 1281));
+}
+
 TEST_F(QueueGenTest, SwitchQueueIsSortedUnvisited) {
   StatusArray sa(100);
   for (vertex_t v = 0; v < 100; v += 2) sa.visit(v, 0);

@@ -157,6 +157,49 @@ TEST(WarpAccumulator, BalancedBeatsImbalancedAtEqualWork) {
   EXPECT_LT(balanced.warp_cycles(), skewed.warp_cycles());
 }
 
+// add_threads(count, work) is the closed form of `count` add_thread(work)
+// calls, from an empty accumulator and from one holding a partial warp. The
+// per-thread loop below is the reference.
+TEST(WarpAccumulator, AddThreadsMatchesPerThreadFeed) {
+  const auto expect_same = [](const WarpAccumulator& closed,
+                              const WarpAccumulator& reference) {
+    EXPECT_EQ(closed.warp_cycles(), reference.warp_cycles());
+    EXPECT_EQ(closed.thread_cycles(), reference.thread_cycles());
+    EXPECT_EQ(closed.threads(), reference.threads());
+    EXPECT_EQ(closed.active_threads(), reference.active_threads());
+    EXPECT_EQ(closed.num_warps(), reference.num_warps());
+  };
+  for (unsigned warp_size : {4u, 32u}) {
+    for (std::uint64_t count :
+         {0ull, 1ull, 31ull, 32ull, 33ull, 61'440ull, 61'441ull}) {
+      for (std::uint64_t work : {0ull, 7ull}) {
+        for (bool warm : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "warp " << warp_size << " count " << count
+                       << " work " << work << " warm " << warm);
+          WarpAccumulator closed(warp_size);
+          WarpAccumulator reference(warp_size);
+          if (warm) {
+            for (std::uint64_t w : {5ull, 0ull, 9ull}) {
+              closed.add_thread(w);
+              reference.add_thread(w);
+            }
+          }
+          closed.add_threads(count, work);
+          for (std::uint64_t t = 0; t < count; ++t) reference.add_thread(work);
+          expect_same(closed, reference);
+          // One more light thread exposes the open warp's lane and maximum.
+          closed.add_thread(1);
+          reference.add_thread(1);
+          closed.finish();
+          reference.finish();
+          expect_same(closed, reference);
+        }
+      }
+    }
+  }
+}
+
 // ---- cost model ----------------------------------------------------------------
 
 KernelRecord make_record(std::uint64_t warp_cycles, std::uint64_t threads) {
