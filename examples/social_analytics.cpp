@@ -1,8 +1,8 @@
 // Social-network analytics on top of the BFS engine — the §1 motivation:
 // BFS as the building block for higher-level workloads. Uses the
 // algorithms layer for degrees of separation, connected components,
-// pseudo-diameter, betweenness and closeness centrality, all driven by
-// EnterpriseBfs.
+// pseudo-diameter, betweenness and closeness centrality, all driven by the
+// registered "enterprise" engine.
 //
 //   ./social_analytics [--users=100000] [--avg-friends=20] [--seed=7]
 #include <algorithm>
@@ -10,8 +10,8 @@
 #include <memory>
 
 #include "algorithms/analytics.hpp"
+#include "bfs/engine.hpp"
 #include "bfs/runner.hpp"
-#include "enterprise/enterprise_bfs.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "util/args.hpp"
@@ -33,11 +33,8 @@ int main(int argc, char** argv) {
             << g.num_edges() / 2 << " friendships\n\n";
 
   // All analytics run through the Enterprise BFS engine.
-  auto engine_impl = std::make_shared<enterprise::EnterpriseBfs>(g);
-  const algorithms::BfsEngine engine =
-      [engine_impl](const graph::Csr&, graph::vertex_t s) {
-        return engine_impl->run(s);
-      };
+  const auto enterprise = bfs::make_engine("enterprise", g);
+  bfs::Engine& engine = *enterprise;
 
   // Hub structure (who are the celebrities?).
   const graph::HubStats hubs = graph::select_hub_threshold(g, 100);
@@ -47,8 +44,7 @@ int main(int argc, char** argv) {
 
   // Degrees of separation from a well-connected seed.
   const auto seed_user = bfs::sample_sources(g, 1, profile.seed).at(0);
-  const algorithms::SsspResult paths =
-      algorithms::sssp(g, seed_user, engine);
+  const algorithms::SsspResult paths = algorithms::sssp(engine, seed_user);
   std::vector<std::uint64_t> per_level(
       static_cast<std::size_t>(paths.ecc) + 1, 0);
   for (graph::vertex_t v = 0; v < g.num_vertices(); ++v) {

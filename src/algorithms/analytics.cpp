@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "baselines/cpu_bfs.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
 
@@ -10,15 +9,8 @@ namespace ent::algorithms {
 
 using graph::vertex_t;
 
-BfsEngine cpu_engine() {
-  return [](const graph::Csr& g, vertex_t source) {
-    return baselines::cpu_bfs(g, source);
-  };
-}
-
-SsspResult sssp(const graph::Csr& g, vertex_t source,
-                const BfsEngine& engine) {
-  const bfs::BfsResult r = engine(g, source);
+SsspResult sssp(bfs::Engine& engine, vertex_t source) {
+  const bfs::BfsResult r = engine.run(source);
   SsspResult out;
   out.distance = r.levels;
   out.parent = r.parents;
@@ -44,7 +36,7 @@ std::vector<vertex_t> shortest_path(const SsspResult& r, vertex_t source,
 }
 
 ComponentsResult connected_components(const graph::Csr& g,
-                                      const BfsEngine& engine) {
+                                      bfs::Engine& engine) {
   ENT_ASSERT_MSG(!g.directed(),
                  "connected_components requires an undirected graph");
   const vertex_t n = g.num_vertices();
@@ -58,7 +50,7 @@ ComponentsResult connected_components(const graph::Csr& g,
       out.giant_size = std::max(out.giant_size, vertex_t{1});
       continue;
     }
-    const bfs::BfsResult r = engine(g, v);
+    const bfs::BfsResult r = engine.run(v);
     vertex_t size = 0;
     for (vertex_t w = 0; w < n; ++w) {
       if (r.levels[w] >= 0) {
@@ -72,13 +64,13 @@ ComponentsResult connected_components(const graph::Csr& g,
 }
 
 DiameterResult pseudo_diameter(const graph::Csr& g, vertex_t start,
-                               const BfsEngine& engine,
+                               bfs::Engine& engine,
                                unsigned max_sweeps) {
   DiameterResult out;
   out.endpoint_a = start;
   vertex_t current = start;
   for (unsigned sweep = 0; sweep < max_sweeps; ++sweep) {
-    const bfs::BfsResult r = engine(g, current);
+    const bfs::BfsResult r = engine.run(current);
     ++out.sweeps;
     // Farthest vertex reached this sweep.
     vertex_t farthest = current;
@@ -99,7 +91,7 @@ DiameterResult pseudo_diameter(const graph::Csr& g, vertex_t start,
 }
 
 std::vector<double> betweenness_centrality(const graph::Csr& g,
-                                           const BfsEngine& engine,
+                                           bfs::Engine& engine,
                                            vertex_t sample_sources,
                                            std::uint64_t seed) {
   const vertex_t n = g.num_vertices();
@@ -123,7 +115,7 @@ std::vector<double> betweenness_centrality(const graph::Csr& g,
   std::vector<vertex_t> order;       // vertices in nondecreasing level
   order.reserve(n);
   for (vertex_t s : sources) {
-    const bfs::BfsResult r = engine(g, s);
+    const bfs::BfsResult r = engine.run(s);
 
     // sigma via one pass in level order: sigma[s] = 1;
     // sigma[w] += sigma[v] for every DAG edge v->w (level[w]=level[v]+1).
@@ -168,11 +160,11 @@ std::vector<double> betweenness_centrality(const graph::Csr& g,
 
 std::vector<double> harmonic_closeness(const graph::Csr& g,
                                        const std::vector<vertex_t>& sources,
-                                       const BfsEngine& engine) {
+                                       bfs::Engine& engine) {
   std::vector<double> out;
   out.reserve(sources.size());
   for (vertex_t s : sources) {
-    const bfs::BfsResult r = engine(g, s);
+    const bfs::BfsResult r = engine.run(s);
     double sum = 0.0;
     for (vertex_t v = 0; v < g.num_vertices(); ++v) {
       if (v != s && r.levels[v] > 0) {
@@ -185,8 +177,8 @@ std::vector<double> harmonic_closeness(const graph::Csr& g,
 }
 
 vertex_t k_hop_reachability(const graph::Csr& g, vertex_t source,
-                            std::int32_t hops, const BfsEngine& engine) {
-  const bfs::BfsResult r = engine(g, source);
+                            std::int32_t hops, bfs::Engine& engine) {
+  const bfs::BfsResult r = engine.run(source);
   vertex_t count = 0;
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     if (r.levels[v] >= 0 && r.levels[v] <= hops) ++count;

@@ -2,27 +2,19 @@
 // analytics workloads, e.g., single source shortest path, betweenness
 // centrality and closeness centrality"; §7 lists SSSP, diameter detection,
 // connected components and betweenness centrality as algorithms Enterprise
-// supports). Every routine here drives the library's BFS engine through a
-// pluggable runner, so the same analytics run over EnterpriseBfs, any
-// baseline, or the CPU reference.
+// supports). Every routine here drives any registered BFS engine
+// (bfs::make_engine: "enterprise", a baseline, or the "cpu" reference) built
+// over the same graph `g` it is handed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "bfs/engine.hpp"
 #include "bfs/result.hpp"
 #include "graph/csr.hpp"
 
 namespace ent::algorithms {
-
-// Engine abstraction: run one BFS from `source` over graph `g`. The default
-// used by the convenience overloads is baselines::cpu_bfs; examples pass an
-// EnterpriseBfs-backed runner.
-using BfsEngine =
-    std::function<bfs::BfsResult(const graph::Csr& g, graph::vertex_t source)>;
-
-BfsEngine cpu_engine();
 
 // --- single-source shortest paths (unweighted) -------------------------------
 
@@ -33,8 +25,7 @@ struct SsspResult {
   double ecc = 0.0;                         // eccentricity of the source
 };
 
-SsspResult sssp(const graph::Csr& g, graph::vertex_t source,
-                const BfsEngine& engine);
+SsspResult sssp(bfs::Engine& engine, graph::vertex_t source);
 
 // Reconstructs one shortest path source -> target from an SsspResult;
 // empty when unreachable.
@@ -53,7 +44,7 @@ struct ComponentsResult {
 // Repeated BFS over undirected graphs (aborts on directed input — weakly
 // connected components would need the union graph).
 ComponentsResult connected_components(const graph::Csr& g,
-                                      const BfsEngine& engine);
+                                      bfs::Engine& engine);
 
 // --- diameter ---------------------------------------------------------------------
 
@@ -68,7 +59,7 @@ struct DiameterResult {
 // the farthest vertex found, repeat until the eccentricity stops growing
 // (classic lower-bound technique; exact on trees).
 DiameterResult pseudo_diameter(const graph::Csr& g, graph::vertex_t start,
-                               const BfsEngine& engine,
+                               bfs::Engine& engine,
                                unsigned max_sweeps = 8);
 
 // --- centralities --------------------------------------------------------------------
@@ -78,7 +69,7 @@ DiameterResult pseudo_diameter(const graph::Csr& g, graph::vertex_t start,
 // sample otherwise. Uses the BFS engine for the forward phase, then the
 // standard dependency accumulation over the BFS DAG.
 std::vector<double> betweenness_centrality(const graph::Csr& g,
-                                           const BfsEngine& engine,
+                                           bfs::Engine& engine,
                                            graph::vertex_t sample_sources,
                                            std::uint64_t seed = 1);
 
@@ -86,13 +77,13 @@ std::vector<double> betweenness_centrality(const graph::Csr& g,
 // reachable vertices, which is robust to disconnected graphs).
 std::vector<double> harmonic_closeness(
     const graph::Csr& g, const std::vector<graph::vertex_t>& sources,
-    const BfsEngine& engine);
+    bfs::Engine& engine);
 
 // --- reachability ---------------------------------------------------------------------
 
 // Number of vertices within `hops` of `source` (inclusive of the source).
 graph::vertex_t k_hop_reachability(const graph::Csr& g,
                                    graph::vertex_t source, std::int32_t hops,
-                                   const BfsEngine& engine);
+                                   bfs::Engine& engine);
 
 }  // namespace ent::algorithms

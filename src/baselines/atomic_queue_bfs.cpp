@@ -83,11 +83,7 @@ bfs::BfsResult AtomicQueueBfs::run(vertex_t source) {
                                       options_.granularity, work);
       }
     }
-    acc.finish();
-    rec.warp_cycles += acc.warp_cycles();
-    rec.thread_cycles += acc.thread_cycles();
-    rec.launched_threads += acc.threads();
-    rec.active_threads += acc.active_threads();
+    acc.charge(rec);
 
     const auto& mm = device_->memory();
     mm.record_load(rec.mem, sim::AccessPattern::kSequential, queue.size(),
@@ -105,20 +101,10 @@ bfs::BfsResult AtomicQueueBfs::run(vertex_t source) {
                     4 + sizeof(vertex_t));
 
     trace.edges_inspected = inspected;
-    const std::string rname = rec.name;
-    const double expand_start_ms = device_->elapsed_ms();
-    trace.expand_ms = device_->run_kernel(std::move(rec));
-    trace.kernels.push_back({rname, trace.expand_ms});
+    trace.expand_ms = enterprise::launch(*device_, std::move(rec), trace,
+                                         options_.sink, "expand", atomics);
     trace.total_ms = device_->elapsed_ms() - level_start;
     if (options_.sink != nullptr) {
-      obs::SpanEvent span;
-      span.level = level;
-      span.phase = "expand";
-      span.detail = rname;
-      span.start_ms = expand_start_ms;
-      span.duration_ms = trace.expand_ms;
-      span.value = atomics;
-      options_.sink->span(span);
       options_.sink->level(bfs::to_level_event(trace));
     }
     if (options_.metrics != nullptr) {
@@ -130,17 +116,7 @@ bfs::BfsResult AtomicQueueBfs::run(vertex_t source) {
     ++level;
   }
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  enterprise::finalize(result, g, std::move(status), std::move(parents));
   result.time_ms = device_->elapsed_ms();
   return result;
 }

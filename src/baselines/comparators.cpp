@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "enterprise/cost_constants.hpp"
+#include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
 #include "gpusim/device.hpp"
 #include "util/assert.hpp"
@@ -188,9 +189,8 @@ bfs::BfsResult comparator_bfs(const graph::Csr& g, vertex_t source,
       mm.record_load(rec.mem, AccessPattern::kRandom, atomics, 4);
       mm.record_store(rec.mem, AccessPattern::kRandom, atomics, 4);
     }
-    const std::string rname = rec.name;
-    trace.expand_ms = device.run_kernel(std::move(rec));
-    trace.kernels.push_back({rname, trace.expand_ms});
+    trace.expand_ms =
+        enterprise::launch(device, std::move(rec), trace, nullptr, "", 0);
 
     // Remaining per-level pipeline stages (contract/filter/bookkeeping):
     // cheap kernels that mostly cost their launches plus a pass over the
@@ -207,10 +207,8 @@ bfs::BfsResult comparator_bfs(const graph::Csr& g, vertex_t source,
                      sizeof(vertex_t));
       mm.record_store(aux.mem, AccessPattern::kSequential, discovered,
                       sizeof(vertex_t));
-      const std::string aux_name = aux.name;
-      const double aux_ms = device.run_kernel(std::move(aux));
-      trace.expand_ms += aux_ms;
-      trace.kernels.push_back({aux_name, aux_ms});
+      trace.expand_ms +=
+          enterprise::launch(device, std::move(aux), trace, nullptr, "", 0);
     }
 
     trace.total_ms = device.elapsed_ms() - level_start;
@@ -219,17 +217,7 @@ bfs::BfsResult comparator_bfs(const graph::Csr& g, vertex_t source,
     ++level;
   }
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  enterprise::finalize(result, g, std::move(status), std::move(parents));
   result.time_ms = device.elapsed_ms();
   return result;
 }

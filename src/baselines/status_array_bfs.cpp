@@ -102,22 +102,11 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
                                                  options_.granularity,
                                                  level + 1, device_->memory(),
                                                  rec);
-    const std::string rname = rec.name;
-    const double expand_start_ms = device_->elapsed_ms();
-    trace.expand_ms = device_->run_kernel(std::move(rec));
-    trace.kernels.push_back({rname, trace.expand_ms});
+    trace.expand_ms = enterprise::launch(*device_, std::move(rec), trace,
+                                         options_.sink, "expand",
+                                         frontier_count);
     trace.frontier_count = frontier_count;
     trace.edges_inspected = out.edges_inspected;
-    if (options_.sink != nullptr) {
-      obs::SpanEvent span;
-      span.level = level;
-      span.phase = "expand";
-      span.detail = rname;
-      span.start_ms = expand_start_ms;
-      span.duration_ms = trace.expand_ms;
-      span.value = frontier_count;
-      options_.sink->span(span);
-    }
 
     prev_frontier_count = frontier_count;
     frontier_count = out.newly_visited;
@@ -138,17 +127,7 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
     options_.metrics->counter("bl.levels").add(result.level_trace.size());
   }
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  enterprise::finalize(result, g, std::move(status), std::move(parents));
   result.time_ms = device_->elapsed_ms();
   return result;
 }

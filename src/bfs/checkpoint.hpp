@@ -29,9 +29,9 @@ namespace ent::bfs {
 struct LevelCheckpoint {
   graph::vertex_t source = 0;
   std::int32_t next_level = 0;  // level of the vertices in `frontier`
-  std::vector<std::int32_t> levels;
-  std::vector<graph::vertex_t> parents;
-  std::vector<graph::vertex_t> frontier;  // global frontier, any order
+  std::vector<std::int32_t> levels = {};
+  std::vector<graph::vertex_t> parents = {};
+  std::vector<graph::vertex_t> frontier = {};  // global frontier, any order
   bool bottom_up = false;
   bool switched = false;       // one-time direction switch already taken
   bool sorted_frontier = true; // bottom-up queue order (enterprise ablation)
@@ -40,7 +40,7 @@ struct LevelCheckpoint {
   graph::edge_t visited_degree_sum = 0;
   // Traces of the levels completed so far, so a replayed run still reports
   // a full per-level history.
-  std::vector<LevelTrace> level_trace;
+  std::vector<LevelTrace> level_trace = {};
   // FNV-1a digest over the recovery-critical payload, stamped by
   // LevelCheckpointStore::save and re-verified on restore: replaying from a
   // silently corrupted snapshot fails loudly with sim::IntegrityFault

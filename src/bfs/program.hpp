@@ -110,7 +110,8 @@ class VertexProgram {
   virtual bool converged(int superstep, std::size_t next_frontier) const;
 
   // Mutable view of the primary per-vertex state bytes, registered with the
-  // fault injector's silent-flip machinery (FlipTarget::kStatus).
+  // fault injector's silent-flip machinery (FlipTarget::kStatus). The engine
+  // takes it once per run, so it must stay valid from init() to the next.
   virtual std::span<std::byte> raw_state_bytes() = 0;
   // Device-resident footprint of all program state, for the memory model's
   // working-set accounting and guarded admission.

@@ -50,11 +50,7 @@ ClassifiedQueues classify_frontiers(const graph::Csr& g,
   // offsets (degree), store into one of four bins.
   sim::WarpAccumulator acc(mm.spec().warp_size);
   acc.add_threads(frontier.size(), kScanCycles + kBinWriteCycles);
-  acc.finish();
-  record.warp_cycles += acc.warp_cycles();
-  record.thread_cycles += acc.thread_cycles();
-  record.launched_threads += acc.threads();
-  record.active_threads += acc.active_threads();
+  acc.charge(record);
   mm.record_load(record.mem, sim::AccessPattern::kSequential, frontier.size(),
                  sizeof(graph::vertex_t));
   mm.record_load(record.mem, sim::AccessPattern::kStrided, frontier.size(),

@@ -18,6 +18,7 @@
 #include "bfs/result.hpp"
 #include "enterprise/classify.hpp"
 #include "enterprise/direction.hpp"
+#include "enterprise/frontier_queue.hpp"
 #include "graph/csr.hpp"
 #include "graph/digest.hpp"
 #include "gpusim/device.hpp"
@@ -108,6 +109,22 @@ inline unsigned scan_launch_width(unsigned scan_threads,
   return scan_threads != 0 ? scan_threads : device.num_smx * 4096;
 }
 
+// Hub set (§4.3): tau is sized so the cache can hold the hub set, which
+// stays at roughly the paper's share of the vertex count
+// (EnterpriseOptions::hub_target_count).
+struct HubSet {
+  graph::edge_t tau = 0;
+  graph::vertex_t count = 0;        // T_h in the gamma definition
+  std::vector<std::uint8_t> flags;  // 1 for each hub, by vertex id
+
+  // Queue-generation refill that caches the hubs visited at `level`; a null
+  // `cache` refills nothing.
+  HubRefill refill(HubCache* cache, std::int32_t level) const {
+    return {cache, &flags, level};
+  }
+};
+HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options);
+
 class EnterpriseBfs {
  public:
   // Keeps a reference to `g`; builds the in-edge CSR for directed graphs.
@@ -123,8 +140,8 @@ class EnterpriseBfs {
   const sim::Device& device() const;
 
   // Hub statistics chosen at construction (tau, T_h).
-  graph::edge_t hub_threshold() const { return hub_tau_; }
-  graph::vertex_t total_hubs() const { return total_hubs_; }
+  graph::edge_t hub_threshold() const { return hubs_.tau; }
+  graph::vertex_t total_hubs() const { return hubs_.count; }
 
   const EnterpriseOptions& options() const { return options_; }
 
@@ -134,9 +151,7 @@ class EnterpriseBfs {
   std::optional<graph::Csr> in_storage_;  // owns reverse CSR when directed
   EnterpriseOptions options_;
   std::unique_ptr<sim::Device> device_;
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
+  HubSet hubs_;
   // Load-time segment digests, computed only when a scrub interval is set.
   graph::SegmentDigests digests_;
 };

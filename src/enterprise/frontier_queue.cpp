@@ -30,11 +30,7 @@ void FrontierQueueGenerator::charge_scan(sim::KernelRecord& record,
       threads, std::max<std::uint64_t>(elements_scanned, 1));
   acc.add_threads(launched,
                   per_thread * kScanCycles + bin_share * kBinWriteCycles);
-  acc.finish();
-  record.warp_cycles += acc.warp_cycles();
-  record.thread_cycles += acc.thread_cycles();
-  record.launched_threads += acc.threads();
-  record.active_threads += acc.active_threads();
+  acc.charge(record);
 
   // Prefix sum over bin counts + parallel bin copy into the dense queue.
   record.warp_cycles += launched * kPrefixSumCycles / mm_->spec().warp_size + 1;

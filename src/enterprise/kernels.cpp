@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "enterprise/cost_constants.hpp"
+#include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
 
 namespace ent::enterprise {
@@ -152,11 +153,7 @@ ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
       charge_group_work(record, mm.spec(), gran, work);
     }
   }
-  thread_acc.finish();
-  record.warp_cycles += thread_acc.warp_cycles();
-  record.thread_cycles += thread_acc.thread_cycles();
-  record.launched_threads += thread_acc.threads();
-  record.active_threads += thread_acc.active_threads();
+  thread_acc.charge(record);
   record_tally(tally, gran, order, mm, record);
   return out;
 }
@@ -236,11 +233,7 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
       charge_group_work(record, mm.spec(), gran, work);
     }
   }
-  thread_acc.finish();
-  record.warp_cycles += thread_acc.warp_cycles();
-  record.thread_cycles += thread_acc.thread_cycles();
-  record.launched_threads += thread_acc.threads();
-  record.active_threads += thread_acc.active_threads();
+  thread_acc.charge(record);
   record_tally(tally, gran, order, mm, record);
   return out;
 }
@@ -289,11 +282,7 @@ ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
       charge_group_work(record, mm.spec(), gran, kScanCycles + work);
     }
   }
-  thread_acc.finish();
-  record.warp_cycles += thread_acc.warp_cycles();
-  record.thread_cycles += thread_acc.thread_cycles();
-  record.launched_threads += thread_acc.threads();
-  record.active_threads += thread_acc.active_threads();
+  thread_acc.charge(record);
 
   // Status reads of the scan itself: thread-per-vertex is coalesced;
   // group-per-vertex issues one uncoalesced sector per group.
@@ -348,11 +337,7 @@ ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
       charge_group_work(record, mm.spec(), gran, kScanCycles + work);
     }
   }
-  thread_acc.finish();
-  record.warp_cycles += thread_acc.warp_cycles();
-  record.thread_cycles += thread_acc.thread_cycles();
-  record.launched_threads += thread_acc.threads();
-  record.active_threads += thread_acc.active_threads();
+  thread_acc.charge(record);
 
   mm.record_load(record.mem,
                  gran == Granularity::kThread ? AccessPattern::kSequential
@@ -360,6 +345,48 @@ ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
                  n, kStatusBytes);
   record_tally(tally, gran, QueueOrder::kSorted, mm, record);
   return out;
+}
+
+void emit_span(obs::TraceSink* sink, int level, const char* phase,
+               std::string_view detail, double start_ms, double duration_ms,
+               std::uint64_t value) {
+  if (sink == nullptr) return;
+  obs::SpanEvent e;
+  e.level = level;
+  e.phase = phase;
+  e.detail = detail;
+  e.start_ms = start_ms;
+  e.duration_ms = duration_ms;
+  e.value = value;
+  sink->span(e);
+}
+
+double launch(sim::Device& dev, sim::KernelRecord rec, bfs::LevelTrace& trace,
+              obs::TraceSink* sink, const char* phase, std::uint64_t items,
+              std::string_view detail) {
+  std::string name = rec.name;
+  const double start_ms = dev.elapsed_ms();
+  const double ms = dev.run_kernel(std::move(rec));
+  emit_span(sink, trace.level, phase, detail.empty() ? name : detail,
+            start_ms, ms, items);
+  trace.kernels.push_back({std::move(name), ms});
+  return ms;
+}
+
+double launch_group(sim::Device& dev, std::vector<sim::KernelRecord> recs,
+                    std::span<const std::uint64_t> items,
+                    bfs::LevelTrace& trace, obs::TraceSink* sink,
+                    const char* phase) {
+  const double start_ms = dev.elapsed_ms();
+  const double ms = dev.run_concurrent(std::move(recs));
+  // The members' standalone times are the device timeline's tail.
+  const auto members = dev.timeline().last(items.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    trace.kernels.push_back({members[i].name, members[i].time_ms});
+    emit_span(sink, trace.level, i == 0 ? "classify" : phase, members[i].name,
+              start_ms, members[i].time_ms, items[i]);
+  }
+  return ms;
 }
 
 }  // namespace ent::enterprise

@@ -7,19 +7,27 @@
 // non-frontier items idling — the over-commitment Challenge #1 describes.
 //
 // Every kernel performs the real traversal on the host graph while charging
-// SIMT issue cycles and memory streams to a sim::KernelRecord.
+// SIMT issue cycles and memory streams to a sim::KernelRecord; launch()
+// prices the record into a level trace.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "bfs/result.hpp"
 #include "enterprise/classify.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/status_array.hpp"
 #include "graph/csr.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/kernel_cost.hpp"
 #include "gpusim/memory_model.hpp"
+
+namespace ent::obs {
+class TraceSink;
+}  // namespace ent::obs
 
 namespace ent::enterprise {
 
@@ -97,5 +105,26 @@ void charge_group_work(sim::KernelRecord& record, const sim::DeviceSpec& spec,
 
 // Number of threads a granularity employs per frontier.
 std::uint64_t threads_for(Granularity gran, const sim::DeviceSpec& spec);
+
+// --- launches -----------------------------------------------------------------
+
+// Streams one span event; does nothing without a sink.
+void emit_span(obs::TraceSink* sink, int level, const char* phase,
+               std::string_view detail, double start_ms, double duration_ms,
+               std::uint64_t value);
+
+// Prices `rec` on `dev`, lists it in the level's kernels and streams its span
+// (detail: the kernel name unless given). Returns the priced time.
+double launch(sim::Device& dev, sim::KernelRecord rec, bfs::LevelTrace& trace,
+              obs::TraceSink* sink, const char* phase, std::uint64_t items,
+              std::string_view detail = {});
+
+// The same for a Hyper-Q group whose first member is the classify kernel;
+// `items[i]` is member i's frontier count. Each member keeps its standalone
+// time (the Fig. 8 timeline).
+double launch_group(sim::Device& dev, std::vector<sim::KernelRecord> recs,
+                    std::span<const std::uint64_t> items,
+                    bfs::LevelTrace& trace, obs::TraceSink* sink,
+                    const char* phase);
 
 }  // namespace ent::enterprise

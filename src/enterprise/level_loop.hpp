@@ -1,0 +1,140 @@
+// The per-level plumbing of the Enterprise superstep drivers: single-GPU
+// (§4.1-4.3), multi-GPU (§4.4) and the vertex-program engine keep their own
+// `while` loops, whose bodies share no code, and call one LevelLoop at each
+// level top, at each BFS level end and after the loop. With nothing attached
+// each call is a few predictable branches: no allocation, no strings.
+#pragma once
+
+#include <concepts>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "bfs/program.hpp"
+#include "bfs/result.hpp"
+#include "enterprise/enterprise_bfs.hpp"
+#include "enterprise/status_array.hpp"
+#include "gpusim/fault.hpp"
+#include "graph/digest.hpp"
+#include "util/random.hpp"
+
+namespace ent::bfs {
+struct LevelCheckpoint;
+}  // namespace ent::bfs
+
+namespace ent::enterprise {
+
+// One device's state at a level top: the bytes a silent flip may strike
+// (status array or program state), the queue, which each level regenerates
+// in place, and for BFS drivers the status array the audit checks.
+struct Shard {
+  unsigned device = 0;  // physical id, for flip rules and events
+  std::span<std::byte> state;
+  std::vector<graph::vertex_t>* queue = nullptr;
+  const StatusArray* status = nullptr;
+};
+
+struct DriverTraits {
+  std::uint64_t audit_salt = 0;  // each driver's own sampled-audit draws
+  // Multi-GPU: audit failures name the device, sampled draws pick one first.
+  bool partitioned = false;
+  bfs::ProgramTraits shape = {};  // which guard limits apply; BFS: both
+};
+
+class LevelLoop {
+ public:
+  // One run from `source`. Samples the brownout taps once, so a ladder step
+  // lands at a run boundary. The arguments must outlive the loop.
+  LevelLoop(const graph::Csr& g, const graph::SegmentDigests& digests,
+            const EnterpriseOptions& options, graph::vertex_t source,
+            DriverTraits traits);
+
+  // BFS run start: the stored level snapshot for this source, or null. Seeds
+  // the audit tally from the state the run starts at.
+  const bfs::LevelCheckpoint* resume();
+
+  // Level top, in this order: advertise the level to the fault injector,
+  // check the guard, open the silent-flip window over `shards`, scrub when
+  // the level is due, then audit: the status audit for a BFS driver, the
+  // program engine's own `audit` otherwise. `now_ms` is the driver's clock.
+  void level_top(std::int32_t level, std::uint64_t frontier, double now_ms,
+                 std::span<const Shard> shards, bool bottom_up) {
+    if (open_level(level, frontier, now_ms, shards)) {
+      audit_status(shards, bottom_up);
+    }
+  }
+  template <std::invocable Audit>
+  void level_top(std::int32_t level, std::uint64_t frontier, double now_ms,
+                 std::span<const Shard> shards, Audit&& audit) {
+    if (open_level(level, frontier, now_ms, shards)) audit();
+  }
+
+  // BFS level end, with `next_level` about to run: extends the audit tally
+  // and saves the checkpoint a replay resumes from. `cp` holds the driver's
+  // loop flags; the loop fills in the source, the arrays and the traces.
+  void level_end(std::int32_t next_level, graph::vertex_t newly_visited,
+                 std::span<const Shard> shards,
+                 const std::vector<graph::vertex_t>& parents,
+                 const std::vector<bfs::LevelTrace>& trace,
+                 bfs::LevelCheckpoint&& cp);
+
+  // Run end: a final scrub and audit, so corruption that lands on the last
+  // level is still caught before the result is reported.
+  void run_end(std::int32_t level, double now_ms,
+               std::span<const Shard> shards, bool bottom_up) {
+    if (check(level, now_ms, shards, scrubs_on_)) {
+      audit_status(shards, bottom_up);
+    }
+  }
+  template <std::invocable Audit>
+  void run_end(std::int32_t level, double now_ms,
+               std::span<const Shard> shards, Audit&& audit) {
+    if (check(level, now_ms, shards, scrubs_on_)) audit();
+  }
+
+  // Reports a failed check of a driver's own audit.
+  [[noreturn]] void audit_failed(const std::string& component,
+                                 std::string detail) const;
+  SplitMix64& audit_rng() { return audit_rng_; }
+
+ private:
+  bool open_level(std::int32_t level, std::uint64_t frontier, double now_ms,
+                  std::span<const Shard> shards);
+  // Sets where checks report, scrubs when due, and counts the audit when
+  // audits are on; returns whether they are.
+  bool check(std::int32_t level, double now_ms, std::span<const Shard> shards,
+             bool scrub_due);
+  void scrub() const;
+  // The status audit over P >= 1 (status, queue) pairs.
+  void audit_status(std::span<const Shard> shards, bool bottom_up);
+  // The detection protocol: bump the named counter and
+  // integrity.detections, emit the IntegrityEvent, then throw
+  // sim::IntegrityFault. The counters land before the throw, so a run the
+  // resilience layer recovers still reports the detection.
+  [[noreturn]] void detect(sim::IntegrityKind kind, const char* counter,
+                           const std::string& component, unsigned device,
+                           std::string detail) const;
+
+  const graph::Csr& g_;
+  const graph::SegmentDigests& digests_;
+  const EnterpriseOptions& options_;
+  graph::vertex_t source_;
+  DriverTraits traits_;
+  bool flips_armed_;
+  bool audits_on_;
+  bool scrubs_on_;
+  SplitMix64 audit_rng_;
+  // tally_[l] = vertices first visited at level l by the traversal's own
+  // counts; a flipped status byte breaks its agreement with the array.
+  std::vector<graph::vertex_t> tally_;
+  std::int32_t level_ = 0;  // where the current check reports
+  double now_ms_ = 0.0;
+  unsigned device_ = 0;
+};
+
+// Load-time segment digests for the scrub pass; empty when scrubbing is off.
+graph::SegmentDigests scrub_digests(const graph::Csr& g,
+                                    const bfs::IntegrityOptions& integrity);
+
+}  // namespace ent::enterprise

@@ -3,24 +3,20 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <span>
 #include <utility>
 
 #include "bfs/checkpoint.hpp"
-#include "bfs/guard.hpp"
 #include "bfs/telemetry.hpp"
 #include "enterprise/cost_constants.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
+#include "enterprise/level_loop.hpp"
 #include "enterprise/status_array.hpp"
-#include "gpusim/fault.hpp"
-#include "graph/degree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
 #include "util/bit_array.hpp"
-#include "util/random.hpp"
 
 namespace ent::enterprise {
 
@@ -37,18 +33,11 @@ MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
                   ? graph::partition_equal_vertices(g.num_vertices(),
                                                     options_.num_gpus)
                   : graph::partition_equal_edges(g, options_.num_gpus)),
+      hubs_(select_hubs(g, options_.per_device)),
+      digests_(scrub_digests(g, options_.per_device.integrity)),
       detector_(options_.straggler) {
   ENT_ASSERT_MSG(!g.directed(),
                  "multi-GPU Enterprise requires an undirected graph");
-  graph::vertex_t target = options_.per_device.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<graph::vertex_t>(
-        g.num_vertices() / 1024, 16, options_.per_device.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
   // Normalize the physical-id map so fault rules and blacklists always talk
   // about stable ids, whatever subset of GPUs this system was built on.
   if (options_.device_ids.empty()) {
@@ -70,10 +59,6 @@ MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
                                             options_.device_ids);
   system_.interconnect().set_sink(options_.per_device.sink);
   system_.interconnect().set_metrics(options_.per_device.metrics);
-  // Load-time digests for the scrub pass (see enterprise_bfs.cpp).
-  if (options_.per_device.integrity.scrub_interval != 0) {
-    digests_ = graph::SegmentDigests::compute(g);
-  }
 }
 
 bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
@@ -101,17 +86,15 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
   const EnterpriseOptions& eopt = options_.per_device;
   std::vector<HubCache> caches(P, HubCache(eopt.hub_cache_capacity));
 
+  const auto owner_of = [&](vertex_t v) {
+    for (unsigned p = 0; p < P; ++p) {
+      if (ranges_[p].contains(v)) return p;
+    }
+    return P - 1;
+  };
   // Private per-device queues (the union is the global frontier).
   std::vector<std::vector<vertex_t>> queues(P);
-  {
-    const auto owner = static_cast<unsigned>(
-        std::distance(ranges_.begin(),
-                      std::find_if(ranges_.begin(), ranges_.end(),
-                                   [&](const graph::VertexRange& r) {
-                                     return r.contains(source);
-                                   })));
-    queues[owner].push_back(source);
-  }
+  queues[owner_of(source)].push_back(source);
 
   bfs::BfsResult result;
   result.source = source;
@@ -124,17 +107,31 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
   // Bits of the compressed just-visited array each device broadcasts.
   const std::uint64_t bits_each = (n + P - 1) / P;
   const std::uint64_t bytes_each = (bits_each + 7) / 8;
+  // Each device scans only its slice.
+  const unsigned scan_threads =
+      scan_launch_width(eopt.scan_threads, eopt.device) / P + 1;
 
   const auto global_queue_size = [&] {
     std::size_t total = 0;
     for (const auto& q : queues) total += q.size();
     return total;
   };
-  const auto owner_of = [&](vertex_t v) {
-    for (unsigned p = 0; p < P; ++p) {
-      if (ranges_[p].contains(v)) return p;
-    }
-    return P - 1;
+
+  // One step of the fail-slow ladder, streamed to the sink (callers check it
+  // is attached, so no detail string is built otherwise).
+  const auto straggler_event = [&](const char* action, unsigned device,
+                                   double ewma_ms, double median_ms,
+                                   double slowdown, std::string detail) {
+    obs::StragglerEvent e;
+    e.action = action;
+    e.device = device;
+    e.level = level;
+    e.ewma_ms = ewma_ms;
+    e.median_ms = median_ms;
+    e.slowdown = slowdown;
+    e.at_ms = system_.elapsed_ms();
+    e.detail = std::move(detail);
+    eopt.sink->straggler(e);
   };
 
   // Rung 2 of the fail-slow ladder: shrink the straggler's vertex range
@@ -144,7 +141,6 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
   // shard's per-level baseline just changed.
   const auto rebalance_partition = [&](unsigned idx,
                                        const sim::StragglerVerdict& v) {
-    const EnterpriseOptions& opt = options_.per_device;
     std::vector<double> weights(P, 1.0);
     weights[idx] = 1.0 / std::max(1.0, v.slowdown);
     double total_w = 0.0;
@@ -174,25 +170,20 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     for (const auto& q : queues) {
       for (vertex_t u : q) rebucketed[owner_of(u)].push_back(u);
     }
-    queues = std::move(rebucketed);
+    // Move into the existing queue objects: the level loop's shards point at
+    // them.
+    for (unsigned p = 0; p < P; ++p) queues[p] = std::move(rebucketed[p]);
     detector_.reset();
-    if (opt.metrics != nullptr) {
-      opt.metrics->counter("straggler.rebalances").increment();
-      opt.metrics->counter("straggler.vertices_moved").add(moved);
+    if (eopt.metrics != nullptr) {
+      eopt.metrics->counter("straggler.rebalances").increment();
+      eopt.metrics->counter("straggler.vertices_moved").add(moved);
     }
-    if (opt.sink != nullptr) {
-      obs::StragglerEvent e;
-      e.action = "rebalance";
-      e.device = options_.device_ids[idx];
-      e.level = level;
-      e.ewma_ms = v.ewma_ms;
-      e.median_ms = v.median_ms;
-      e.slowdown = v.slowdown;
-      e.at_ms = system_.elapsed_ms();
-      e.detail = "shard shrunk to " +
-                 std::to_string(ranges_[idx].end - ranges_[idx].begin) +
-                 " vertices, " + std::to_string(moved) + " moved";
-      opt.sink->straggler(e);
+    if (eopt.sink != nullptr) {
+      const vertex_t kept = ranges_[idx].end - ranges_[idx].begin;
+      straggler_event("rebalance", options_.device_ids[idx], v.ewma_ms,
+                      v.median_ms, v.slowdown,
+                      "shard shrunk to " + std::to_string(kept) +
+                          " vertices, " + std::to_string(moved) + " moved");
     }
   };
 
@@ -200,231 +191,33 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
   // global frontier is redistributed by current vertex ownership, so the
   // snapshot stays valid after a blacklist-and-repartition rebuilt this
   // system on fewer devices.
-  if (eopt.checkpointer != nullptr) {
-    if (const bfs::LevelCheckpoint* cp = eopt.checkpointer->restore();
-        cp != nullptr && cp->source == source) {
-      for (unsigned p = 0; p < P; ++p) statuses[p] = StatusArray(cp->levels);
-      parents = cp->parents;
-      for (auto& q : queues) q.clear();
-      for (vertex_t v : cp->frontier) queues[owner_of(v)].push_back(v);
-      bottom_up = cp->bottom_up;
-      switched = cp->switched;
-      level = cp->next_level;
-      visited_degree_sum = cp->visited_degree_sum;
-      result.level_trace = cp->level_trace;
-    }
+  LevelLoop loop(g, digests_, eopt, source,
+                 {.audit_salt = 0x6d756c7469677075ull, .partitioned = true});
+  if (const bfs::LevelCheckpoint* cp = loop.resume()) {
+    for (unsigned p = 0; p < P; ++p) statuses[p] = StatusArray(cp->levels);
+    parents = cp->parents;
+    for (auto& q : queues) q.clear();
+    for (vertex_t v : cp->frontier) queues[owner_of(v)].push_back(v);
+    bottom_up = cp->bottom_up;
+    switched = cp->switched;
+    level = cp->next_level;
+    visited_degree_sum = cp->visited_degree_sum;
+    result.level_trace = cp->level_trace;
   }
-
-  // ---- integrity (bfs/integrity.hpp) -------------------------------------
-  // Same defense as enterprise_bfs.cpp, adapted to the partitioned state:
-  // the private status arrays are identical at every level top (the
-  // all-gather ORs each level's discoveries into all of them), so each one
-  // is audited against the same newly-visited tallies; the private queues
-  // partition the global frontier, so a global seen-bitmap catches
-  // duplicates wherever a flip lands.
-  const bool flips_armed = eopt.fault_injector != nullptr &&
-                           eopt.fault_injector->plan().has_flip_rules();
-  const bfs::IntegrityOptions& integ = eopt.integrity;
-  // Brownout sample (serve/overload.hpp): taps read once per run so a
-  // ladder step lands at a request boundary, not mid-traversal.
-  const bool audits_on = integ.audits_active();
-  const bool scrubs_on = integ.scrubs_active();
-  std::vector<vertex_t> audit_counts;
-  if (audits_on) {
-    audit_counts.assign(static_cast<std::size_t>(level) + 1, 0);
-    for (vertex_t v = 0; v < n; ++v) {
-      const std::int32_t s = statuses[0].level(v);
-      if (s >= 0 && s <= level) ++audit_counts[static_cast<std::size_t>(s)];
-    }
+  // The private status arrays are identical at every level top (the
+  // all-gather ORs each level's discoveries into all of them), so the audit
+  // checks each against the same tally; the private queues partition the
+  // global frontier.
+  std::vector<Shard> shards;
+  for (unsigned p = 0; p < P; ++p) {
+    shards.push_back({options_.device_ids[p], statuses[p].raw_bytes(),
+                      &queues[p], &statuses[p]});
   }
-  SplitMix64 audit_rng(integ.audit_seed ^ static_cast<std::uint64_t>(source) ^
-                       0x6d756c7469677075ull);
-
-  const auto integrity_detect =
-      [&](sim::IntegrityKind kind, const char* counter,
-          const std::string& component, std::int32_t lvl, unsigned device,
-          std::string detail) {
-        if (eopt.metrics != nullptr) {
-          eopt.metrics->counter(counter).increment();
-          eopt.metrics->counter("integrity.detections").increment();
-        }
-        if (eopt.sink != nullptr) {
-          obs::IntegrityEvent e;
-          e.kind = kind == sim::IntegrityKind::kDigest ? "scrub" : "audit";
-          e.verdict =
-              kind == sim::IntegrityKind::kDigest ? "mismatch" : "failed";
-          e.component = component;
-          e.detail = detail;
-          e.level = lvl;
-          e.device = device;
-          e.at_ms = system_.elapsed_ms();
-          eopt.sink->integrity(e);
-        }
-        throw sim::IntegrityFault(kind, component, lvl, system_.elapsed_ms(),
-                                  std::move(detail));
-      };
-
-  const auto scrub = [&](std::int32_t lvl) {
-    if (eopt.metrics != nullptr) {
-      eopt.metrics->counter("integrity.scrub.passes").increment();
-    }
-    if (const auto mm = digests_.verify(g)) {
-      integrity_detect(sim::IntegrityKind::kDigest,
-                       "integrity.scrub.mismatches", mm->segment, lvl,
-                       options_.device_ids[0],
-                       "block " + std::to_string(mm->block) + " expected " +
-                           std::to_string(mm->expected) + " got " +
-                           std::to_string(mm->actual));
-    }
-  };
-
-  const auto audit_level = [&](std::int32_t lvl) {
-    if (eopt.metrics != nullptr) {
-      eopt.metrics->counter("integrity.audit.checks").increment();
-    }
-    if (integ.audit == bfs::AuditMode::kFull) {
-      std::vector<std::uint8_t> seen(n, 0);
-      for (unsigned p = 0; p < P; ++p) {
-        const auto fail = [&](const char* component, std::string detail) {
-          integrity_detect(sim::IntegrityKind::kAudit,
-                           "integrity.audit.failures", component, lvl,
-                           options_.device_ids[p], std::move(detail));
-        };
-        // Every private status array must carry the same monotone level
-        // population the traversal recorded.
-        std::vector<vertex_t> hist(static_cast<std::size_t>(lvl) + 1, 0);
-        vertex_t unvisited = 0;
-        for (vertex_t v = 0; v < n; ++v) {
-          const std::int32_t s = statuses[p].level(v);
-          if (s == kUnvisited) {
-            ++unvisited;
-          } else if (s < 0 || s > lvl) {
-            fail("status", "gpu" + std::to_string(p) + " vertex " +
-                               std::to_string(v) + " has level " +
-                               std::to_string(s) + " outside [-1, " +
-                               std::to_string(lvl) + "]");
-          } else {
-            ++hist[static_cast<std::size_t>(s)];
-          }
-        }
-        for (std::int32_t l = 0; l <= lvl; ++l) {
-          const auto idx = static_cast<std::size_t>(l);
-          if (hist[idx] != audit_counts[idx]) {
-            fail("status", "gpu" + std::to_string(p) + " level " +
-                               std::to_string(l) + " holds " +
-                               std::to_string(hist[idx]) +
-                               " vertices, tally recorded " +
-                               std::to_string(audit_counts[idx]));
-          }
-        }
-        // Per-entry queue agreement; `seen` is global because the private
-        // queues partition the global frontier.
-        for (const vertex_t q : queues[p]) {
-          if (q >= n) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " out of range");
-          }
-          if (seen[q] != 0) {
-            fail("frontier", "duplicate queue entry " + std::to_string(q) +
-                                 " on gpu" + std::to_string(p));
-          }
-          seen[q] = 1;
-          if (!bottom_up && statuses[p].level(q) != lvl) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " has status level " +
-                                 std::to_string(statuses[p].level(q)) +
-                                 ", expected " + std::to_string(lvl));
-          }
-          if (bottom_up && statuses[p].visited(q)) {
-            fail("frontier", "gpu" + std::to_string(p) +
-                                 " bottom-up queue entry " +
-                                 std::to_string(q) + " is already visited");
-          }
-        }
-        // Frontier-count conservation against the shared status view.
-        if (p == 0) {
-          const std::size_t expect =
-              bottom_up ? static_cast<std::size_t>(unvisited)
-                        : static_cast<std::size_t>(
-                              hist[static_cast<std::size_t>(lvl)]);
-          if (global_queue_size() != expect) {
-            fail("frontier",
-                 "global frontier holds " +
-                     std::to_string(global_queue_size()) +
-                     " entries, status array implies " +
-                     std::to_string(expect));
-          }
-        }
-      }
-    } else {
-      // Sampled: spot-check random (device, vertex) and (device, queue
-      // entry) pairs.
-      for (std::uint32_t i = 0; i < integ.sample_size; ++i) {
-        const auto p = static_cast<unsigned>(audit_rng.next_below(P));
-        const auto fail = [&](const char* component, std::string detail) {
-          integrity_detect(sim::IntegrityKind::kAudit,
-                           "integrity.audit.failures", component, lvl,
-                           options_.device_ids[p], std::move(detail));
-        };
-        const auto v = static_cast<vertex_t>(audit_rng.next_below(n));
-        const std::int32_t s = statuses[p].level(v);
-        if (s != kUnvisited && (s < 0 || s > lvl)) {
-          fail("status", "gpu" + std::to_string(p) + " vertex " +
-                             std::to_string(v) + " has level " +
-                             std::to_string(s) + " outside [-1, " +
-                             std::to_string(lvl) + "]");
-        }
-        if (!queues[p].empty()) {
-          const vertex_t q =
-              queues[p][audit_rng.next_below(queues[p].size())];
-          if (q >= n) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " out of range");
-          }
-          if (!bottom_up && statuses[p].level(q) != lvl) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " has status level " +
-                                 std::to_string(statuses[p].level(q)) +
-                                 ", expected " + std::to_string(lvl));
-          }
-          if (bottom_up && statuses[p].visited(q)) {
-            fail("frontier", "gpu" + std::to_string(p) +
-                                 " bottom-up queue entry " +
-                                 std::to_string(q) + " is already visited");
-          }
-        }
-      }
-    }
-  };
-  // ------------------------------------------------------------------------
 
   while (global_queue_size() > 0) {
-    if (eopt.fault_injector != nullptr) {
-      eopt.fault_injector->set_level(level);
-    }
-    // Cooperative guard check against the global frontier and system clock.
-    if (eopt.guard != nullptr) {
-      eopt.guard->check_level(level, global_queue_size(),
-                              system_.elapsed_ms());
-    }
-    // Silent-flip window, then the checks that are supposed to catch it
-    // (same ordering rationale as enterprise_bfs.cpp).
-    if (flips_armed) {
-      for (unsigned p = 0; p < P; ++p) {
-        eopt.fault_injector->register_flip_target(
-            sim::FlipTarget::kStatus, options_.device_ids[p],
-            statuses[p].raw_bytes());
-        eopt.fault_injector->register_flip_target(
-            sim::FlipTarget::kFrontier, options_.device_ids[p],
-            std::as_writable_bytes(std::span<vertex_t>(queues[p])));
-      }
-      eopt.fault_injector->flip_pass(level, system_.elapsed_ms());
-    }
-    if (scrubs_on &&
-        level % static_cast<std::int32_t>(integ.scrub_interval) == 0) {
-      scrub(level);
-    }
-    if (audits_on) audit_level(level);
+    // Guard, flips and checks see the global frontier and the system clock.
+    loop.level_top(level, global_queue_size(), system_.elapsed_ms(), shards,
+                   bottom_up);
     bfs::LevelTrace trace;
     trace.level = level;
     const std::int32_t next_level = level + 1;
@@ -440,34 +233,28 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         for (vertex_t v : q) {
           if (v >= n) continue;
           m_f += g.out_degree(v);
-          if (hub_flags_[v] != 0) ++hub_in_queue;
+          if (hubs_.flags[v] != 0) ++hub_in_queue;
         }
       }
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = total_hubs_ == 0
+      trace.gamma = hubs_.count == 0
                         ? 0.0
                         : 100.0 * static_cast<double>(hub_in_queue) /
-                              static_cast<double>(total_hubs_);
+                              static_cast<double>(hubs_.count);
       if (should_switch_to_bottom_up(eopt.direction, trace.alpha,
                                      trace.gamma)) {
         bottom_up = true;
         switched = true;
         double max_scan = 0.0;
         for (unsigned p = 0; p < P; ++p) {
-          FrontierQueueGenerator gen(
-              system_.device(p).memory(),
-              scan_launch_width(eopt.scan_threads, eopt.device) / P + 1);
+          FrontierQueueGenerator gen(system_.device(p).memory(),
+                                     scan_threads);
           sim::KernelRecord rec;
           rec.name = "queue_gen(switch)";
-          HubRefill refill;
-          if (eopt.hub_cache) {
-            refill.cache = &caches[p];
-            refill.hub_flags = &hub_flags_;
-            refill.just_visited_level = level;
-          }
-          queues[p] = gen.direction_switch(statuses[p], refill,
-                                           ranges_[p].begin, ranges_[p].end,
-                                           rec);
+          queues[p] = gen.direction_switch(
+              statuses[p],
+              hubs_.refill(eopt.hub_cache ? &caches[p] : nullptr, level),
+              ranges_[p].begin, ranges_[p].end, rec);
           max_scan = std::max(max_scan, system_.device(p).run_kernel(rec));
         }
         trace.queue_gen_ms += max_scan;
@@ -561,10 +348,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
       trace.edges_inspected += out.edges_inspected;
       expand_ms[p] = out.ms;
     }
-    double max_expand = 0.0;
-    for (unsigned p = 0; p < P; ++p) {
-      max_expand = std::max(max_expand, expand_ms[p]);
-    }
+    double max_expand = std::ranges::max(expand_ms);
 
     // Speculative re-execution of the straggler's shard on the least-loaded
     // healthy device: first finisher wins, the loser's result is discarded.
@@ -603,19 +387,13 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
           wasted_gauge.set(wasted_gauge.value() + wasted);
         }
         if (eopt.sink != nullptr) {
-          obs::StragglerEvent e;
-          e.action = won ? "speculate-won" : "speculate-lost";
-          e.device = options_.device_ids[sp];
-          e.level = level;
-          e.ewma_ms = straggler_ms;
-          e.median_ms = helper_chain;
-          e.slowdown =
-              helper_chain > 0.0 ? straggler_ms / helper_chain : 0.0;
-          e.at_ms = system_.elapsed_ms();
-          e.detail = "helper gpu" + std::to_string(options_.device_ids[helper]) +
-                     " chain " + std::to_string(helper_chain) + " ms vs " +
-                     std::to_string(straggler_ms) + " ms";
-          eopt.sink->straggler(e);
+          straggler_event(
+              won ? "speculate-won" : "speculate-lost",
+              options_.device_ids[sp], straggler_ms, helper_chain,
+              helper_chain > 0.0 ? straggler_ms / helper_chain : 0.0,
+              "helper gpu" + std::to_string(options_.device_ids[helper]) +
+                  " chain " + std::to_string(helper_chain) + " ms vs " +
+                  std::to_string(straggler_ms) + " ms");
         }
         max_expand = std::min(straggler_ms, helper_chain);
         for (unsigned p = 0; p < P; ++p) {
@@ -676,16 +454,8 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         ic.collective_volume(bytes_each, P);
     stats_.bytes_communicated += level_exchange_bytes;
     stats_.bytes_uncompressed += level_exchange_bytes * 8;  // byte statuses
-    if (eopt.sink != nullptr) {
-      obs::SpanEvent span;
-      span.level = level;
-      span.phase = "comm";
-      span.detail = "status-allgather";
-      span.start_ms = system_.elapsed_ms();
-      span.duration_ms = comm_ms;
-      span.value = level_exchange_bytes;
-      eopt.sink->span(span);
-    }
+    emit_span(eopt.sink, level, "comm", "status-allgather",
+              system_.elapsed_ms(), comm_ms, level_exchange_bytes);
     if (eopt.metrics != nullptr) {
       eopt.metrics->counter("multi_gpu.exchange_bytes")
           .add(level_exchange_bytes);
@@ -707,9 +477,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     std::vector<double> qgen_ms(P, 0.0);
     for (unsigned p = 0; p < P; ++p) {
       sim::Device& dev = system_.device(p);
-      FrontierQueueGenerator gen(
-          dev.memory(),
-          scan_launch_width(eopt.scan_threads, eopt.device) / P + 1);
+      FrontierQueueGenerator gen(dev.memory(), scan_threads);
       sim::KernelRecord rec;
       if (!bottom_up) {
         rec.name = "queue_gen(top-down)";
@@ -720,13 +488,10 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         }
       } else {
         rec.name = "queue_gen(filter)";
-        HubRefill refill;
-        if (eopt.hub_cache) {
-          refill.cache = &caches[p];
-          refill.hub_flags = &hub_flags_;
-          refill.just_visited_level = next_level;
-        }
-        queues[p] = gen.bottom_up_filter(queues[p], statuses[p], refill, rec);
+        queues[p] = gen.bottom_up_filter(
+            queues[p], statuses[p],
+            hubs_.refill(eopt.hub_cache ? &caches[p] : nullptr, next_level),
+            rec);
       }
       qgen_ms[p] = dev.run_kernel(rec);
       max_qgen = std::max(max_qgen, qgen_ms[p]);
@@ -737,9 +502,6 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     trace.total_ms = max_expand + max_qgen + comm_ms;
     if (eopt.sink != nullptr) eopt.sink->level(bfs::to_level_event(trace));
     result.level_trace.push_back(std::move(trace));
-    if (audits_on) {
-      audit_counts.push_back(newly_visited);
-    }
 
     // Fail-slow detection at the level boundary: feed every device's level
     // time to the detector, then escalate the mitigation ladder for the
@@ -764,15 +526,8 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
           eopt.metrics->counter("straggler.detections").increment();
         }
         if (eopt.sink != nullptr) {
-          obs::StragglerEvent e;
-          e.action = "flagged";
-          e.device = phys;
-          e.level = level;
-          e.ewma_ms = verdict->ewma_ms;
-          e.median_ms = verdict->median_ms;
-          e.slowdown = verdict->slowdown;
-          e.at_ms = system_.elapsed_ms();
-          eopt.sink->straggler(e);
+          straggler_event("flagged", phys, verdict->ewma_ms,
+                          verdict->median_ms, verdict->slowdown, "");
         }
         if (idx >= 0) {
           unsigned& specs = spec_rounds_[phys];
@@ -791,16 +546,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
               eopt.metrics->counter("straggler.demotions").increment();
             }
             if (eopt.sink != nullptr) {
-              obs::StragglerEvent e;
-              e.action = "demote";
-              e.device = phys;
-              e.level = level;
-              e.ewma_ms = verdict->ewma_ms;
-              e.median_ms = verdict->median_ms;
-              e.slowdown = verdict->slowdown;
-              e.at_ms = system_.elapsed_ms();
-              e.detail = "mitigation ladder exhausted";
-              eopt.sink->straggler(e);
+              straggler_event("demote", phys, verdict->ewma_ms,
+                              verdict->median_ms, verdict->slowdown,
+                              "mitigation ladder exhausted");
             }
             throw sim::FailSlowDemoted(phys, verdict->slowdown,
                                        system_.elapsed_ms());
@@ -809,43 +557,15 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
       }
     }
     level = next_level;
-
-    // All private statuses are identical after the all-gather was applied,
-    // so device 0's array is the global view the snapshot needs.
-    if (eopt.checkpointer != nullptr) {
-      bfs::LevelCheckpoint cp;
-      cp.source = source;
-      cp.next_level = level;
-      cp.levels.assign(statuses[0].data().begin(), statuses[0].data().end());
-      cp.parents = parents;
-      for (const auto& q : queues) {
-        cp.frontier.insert(cp.frontier.end(), q.begin(), q.end());
-      }
-      cp.bottom_up = bottom_up;
-      cp.switched = switched;
-      cp.visited_degree_sum = visited_degree_sum;
-      cp.level_trace = result.level_trace;
-      eopt.checkpointer->save(std::move(cp));
-    }
+    loop.level_end(level, newly_visited, shards, parents, result.level_trace,
+                   {.bottom_up = bottom_up,
+                    .switched = switched,
+                    .visited_degree_sum = visited_degree_sum});
   }
 
-  // Final integrity sweep before the result is reported.
-  if (scrubs_on) scrub(level);
-  if (audits_on) audit_level(level);
-
+  loop.run_end(level, system_.elapsed_ms(), shards, bottom_up);
   // All private arrays agree after the final all-gather; report device 0's.
-  StatusArray& status0 = statuses[0];
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status0.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status0.level(v));
-    }
-  }
-  result.levels = std::move(status0).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  finalize(result, g, std::move(statuses[0]), std::move(parents));
   result.time_ms = system_.elapsed_ms();
   stats_.total_ms = result.time_ms;
   if (eopt.metrics != nullptr) {

@@ -69,9 +69,7 @@ class MultiGpuEnterpriseBfs {
   MultiGpuOptions options_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
+  HubSet hubs_;
   MultiGpuRunStats stats_;
   // Load-time segment digests, computed only when a scrub interval is set
   // (per_device.integrity.scrub_interval).

@@ -6,19 +6,16 @@
 #include <string>
 #include <utility>
 
-#include "bfs/guard.hpp"
 #include "bfs/telemetry.hpp"
 #include "enterprise/cost_constants.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
+#include "enterprise/level_loop.hpp"
 #include "enterprise/status_array.hpp"
-#include "gpusim/fault.hpp"
-#include "graph/degree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
-#include "util/random.hpp"
 
 namespace ent::enterprise {
 
@@ -46,7 +43,9 @@ ProgramRunner::ProgramRunner(const graph::Csr& g,
       options_(std::move(options)),
       device_ids_(std::move(device_ids)),
       system_(options_.device, num_devices, interconnect),
-      ranges_(graph::partition_equal_vertices(g.num_vertices(), num_devices)) {
+      ranges_(graph::partition_equal_vertices(g.num_vertices(), num_devices)),
+      hubs_(select_hubs(g, options_)),
+      digests_(scrub_digests(g, options_.integrity)) {
   ENT_ASSERT_MSG(program_ != nullptr, "ProgramRunner needs a program");
   // In-edge view for symmetric relaxations (cc on directed graphs); on
   // undirected graphs the out-edges already carry both directions.
@@ -71,21 +70,6 @@ ProgramRunner::ProgramRunner(const graph::Csr& g,
   if (num_devices > 1) {
     system_.interconnect().set_fault_injector(options_.fault_injector,
                                               device_ids_);
-  }
-
-  // Hub definition, as in enterprise_bfs.cpp (§4.3).
-  graph::vertex_t target = options_.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<graph::vertex_t>(g.num_vertices() / 1024, 16,
-                                         options_.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
-
-  if (options_.integrity.scrub_interval != 0) {
-    digests_ = graph::SegmentDigests::compute(g);
   }
 }
 
@@ -121,118 +105,58 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       P == 1 ? scan_threads_total : scan_threads_total / P + 1;
 
   std::vector<HubCache> caches(P, HubCache(options_.hub_cache_capacity));
-  const bool use_hub = options_.hub_cache && total_hubs_ > 0;
+  const bool use_hub = options_.hub_cache && hubs_.count > 0;
 
   bfs::BfsResult result;
   result.source = source;
 
   obs::TraceSink* const sink = options_.sink;
   obs::MetricsRegistry* const metrics = options_.metrics;
-  const auto emit_span = [&](int step, const char* phase, std::string detail,
-                             double start_ms, double duration_ms,
-                             std::uint64_t value) {
-    if (sink == nullptr) return;
-    obs::SpanEvent e;
-    e.level = step;
-    e.phase = phase;
-    e.detail = std::move(detail);
-    e.start_ms = start_ms;
-    e.duration_ms = duration_ms;
-    e.value = value;
-    sink->span(e);
-  };
 
-  // ---- integrity (bfs/integrity.hpp) -------------------------------------
-  // Engine-level frontier checks plus the program's own invariant set; the
-  // counter and event idiom matches enterprise_bfs.cpp so collect_integrity
-  // assembles the same report section.
-  sim::FaultInjector* const injector = options_.fault_injector;
-  const bool flips_armed =
-      injector != nullptr && injector->plan().has_flip_rules();
-  const bfs::IntegrityOptions& integ = options_.integrity;
-  // Brownout sample (serve/overload.hpp): taps read once per run so a
-  // ladder step lands at a request boundary, not mid-traversal.
-  const bool audits_on = integ.audits_active();
-  const bool scrubs_on = integ.scrubs_active();
-  SplitMix64 audit_rng(integ.audit_seed ^ static_cast<std::uint64_t>(source) ^
-                       0x70726f6772616dull);  // "program"
-
-  const auto integrity_detect =
-      [&](sim::IntegrityKind kind, const char* counter,
-          const std::string& component, std::int32_t step,
-          std::string detail) {
-        if (metrics != nullptr) {
-          metrics->counter(counter).increment();
-          metrics->counter("integrity.detections").increment();
-        }
-        if (sink != nullptr) {
-          obs::IntegrityEvent e;
-          e.kind = kind == sim::IntegrityKind::kDigest ? "scrub" : "audit";
-          e.verdict =
-              kind == sim::IntegrityKind::kDigest ? "mismatch" : "failed";
-          e.component = component;
-          e.detail = detail;
-          e.level = step;
-          e.device = device_ids_[0];
-          e.at_ms = system_.elapsed_ms();
-          sink->integrity(e);
-        }
-        throw sim::IntegrityFault(kind, component, step, system_.elapsed_ms(),
-                                  std::move(detail));
-      };
-
-  const auto scrub = [&](std::int32_t step) {
-    if (metrics != nullptr) {
-      metrics->counter("integrity.scrub.passes").increment();
-    }
-    if (const auto mm = digests_.verify(g)) {
-      integrity_detect(sim::IntegrityKind::kDigest,
-                       "integrity.scrub.mismatches", mm->segment, step,
-                       "block " + std::to_string(mm->block) + " expected " +
-                           std::to_string(mm->expected) + " got " +
-                           std::to_string(mm->actual));
-    }
-  };
-
-  const auto audit_superstep = [&](std::int32_t step) {
-    if (metrics != nullptr) {
-      metrics->counter("integrity.audit.checks").increment();
-    }
-    const auto fail = [&](const char* component, std::string detail) {
-      integrity_detect(sim::IntegrityKind::kAudit, "integrity.audit.failures",
-                       component, step, std::move(detail));
-    };
-    // Frontier invariant: select_frontier emits strictly ascending in-range
-    // vertex ids, so any injected flip breaks range or order (a flip that
-    // kept both would have to land exactly between its neighbors).
+  // The program's state (sized by init, then updated in place) plays the
+  // status role in the flip window, the selected frontier the queue role, on
+  // every device.
+  LevelLoop loop(g, digests_, options_, source,
+                 {.audit_salt = 0x70726f6772616dull,  // "program"
+                  .shape = program_->traits()});
+  std::vector<Shard> shards;
+  for (unsigned p = 0; p < P; ++p) {
+    shards.push_back({device_ids_[p], program_->raw_state_bytes(), &frontier});
+  }
+  // Engine-level frontier checks plus the program's own invariant set
+  // (sssp monotone relaxations, cc decrease-only labels, pagerank mass
+  // conservation).
+  const auto audit_superstep = [&] {
+    // select_frontier emits strictly ascending in-range vertex ids, so any
+    // injected flip breaks range or order (a flip that kept both would have
+    // to land exactly between its neighbors).
     const auto check_entry = [&](std::size_t i) {
       const vertex_t v = frontier[i];
       if (v >= n) {
-        fail("frontier",
-             "frontier entry " + std::to_string(v) + " out of range");
+        loop.audit_failed("frontier", "frontier entry " + std::to_string(v) +
+                                          " out of range");
       }
       if (i > 0 && frontier[i - 1] >= v) {
-        fail("frontier", "frontier not strictly ascending at entry " +
-                             std::to_string(i));
+        loop.audit_failed("frontier",
+                          "frontier not strictly ascending at entry " +
+                              std::to_string(i));
       }
     };
+    const bfs::IntegrityOptions& integ = options_.integrity;
     if (integ.audit == bfs::AuditMode::kFull) {
       for (std::size_t i = 0; i < frontier.size(); ++i) check_entry(i);
     } else if (!frontier.empty()) {
       for (std::uint32_t i = 0; i < integ.sample_size; ++i) {
-        check_entry(
-            static_cast<std::size_t>(audit_rng.next_below(frontier.size())));
+        check_entry(static_cast<std::size_t>(
+            loop.audit_rng().next_below(frontier.size())));
       }
     }
-    // The program's own invariant set (sssp monotone relaxations, cc
-    // decrease-only labels, pagerank mass conservation).
-    if (std::string err =
-            program_->audit(integ.audit, integ.sample_size, audit_rng);
+    if (std::string err = program_->audit(integ.audit, integ.sample_size,
+                                          loop.audit_rng());
         !err.empty()) {
-      fail("program", std::move(err));
+      loop.audit_failed("program", std::move(err));
     }
   };
-  // ------------------------------------------------------------------------
 
   // Relax one classified sub-queue at `gran`, charging the same SIMT and
   // memory streams the BFS expansion kernels charge (kernels.cpp), plus a
@@ -283,7 +207,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
             improved.push_back(v);
             if (first_touch[v] < 0) first_touch[v] = superstep + 1;
           };
-          if (use_hub && hub_flags_[v] != 0) {
+          if (use_hub && hubs_.flags[v] != 0) {
             // §4.3 adapted: a cache hit proves this hub was already marked
             // improved this superstep — skip the redundant global write.
             ++cache_probes;
@@ -308,11 +232,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
         charge_group_work(rec, mm.spec(), gran, work);
       }
     }
-    acc.finish();
-    rec.warp_cycles += acc.warp_cycles();
-    rec.thread_cycles += acc.thread_cycles();
-    rec.launched_threads += acc.threads();
-    rec.active_threads += acc.active_threads();
+    acc.charge(rec);
 
     using sim::AccessPattern;
     mm.record_load(rec.mem, AccessPattern::kSequential, sub.size(),
@@ -338,37 +258,12 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       (static_cast<std::uint64_t>(n) / P + 7) / 8 + 1;
 
   while (!frontier.empty() && !converged) {
-    if (injector != nullptr) injector->set_level(superstep);
-    if (options_.guard != nullptr) {
-      // Limits are routed through the program's traits: an unbounded-depth
-      // fixpoint (pagerank) masks the level count so max_levels cannot
-      // trip, an all-vertices frontier (cc, pagerank) masks the frontier
-      // size. Deadline and cancellation always apply.
-      const bfs::ProgramTraits traits = program_->traits();
-      options_.guard->check_level(
-          traits.bounded_depth ? superstep : 0,
-          traits.bounded_frontier ? frontier.size() : 0,
-          system_.elapsed_ms());
-    }
-    // Silent-flip window ahead of the checks meant to catch it: the
-    // program's resident state plays the kStatus role, the selected
-    // frontier the kFrontier role.
-    if (flips_armed) {
-      for (unsigned p = 0; p < P; ++p) {
-        injector->register_flip_target(sim::FlipTarget::kStatus,
-                                       device_ids_[p],
-                                       program_->raw_state_bytes());
-        injector->register_flip_target(
-            sim::FlipTarget::kFrontier, device_ids_[p],
-            std::as_writable_bytes(std::span<vertex_t>(frontier)));
-      }
-      injector->flip_pass(superstep, system_.elapsed_ms());
-    }
-    if (scrubs_on &&
-        superstep % static_cast<std::int32_t>(integ.scrub_interval) == 0) {
-      scrub(superstep);
-    }
-    if (audits_on) audit_superstep(superstep);
+    // Guard limits are routed through the program's traits: an
+    // unbounded-depth fixpoint (pagerank) masks the level count so
+    // max_levels cannot trip, an all-vertices frontier (cc, pagerank) masks
+    // the frontier size. Deadline and cancellation always apply.
+    loop.level_top(superstep, frontier.size(), system_.elapsed_ms(), shards,
+                   audit_superstep);
 
     bfs::LevelTrace trace;
     trace.level = superstep;
@@ -391,15 +286,10 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       qrec.name = "queue_gen(program)";
       dev.memory().record_store(qrec.mem, sim::AccessPattern::kRandom,
                                 frontier.size() / P + 1, kStatusBytes);
-      queues[p] = P == 1 ? gen.top_down(active, superstep, qrec)
-                         : gen.top_down(active, superstep, ranges_[p].begin,
-                                        ranges_[p].end, qrec);
-      const std::string qname = qrec.name;
-      const double qstart = dev.elapsed_ms();
-      const double qms = dev.run_kernel(std::move(qrec));
-      trace.kernels.push_back({qname, qms});
-      emit_span(superstep, "queue_gen", qname, qstart, qms, queues[p].size());
-      max_qgen = std::max(max_qgen, qms);
+      queues[p] = gen.top_down(active, superstep, ranges_[p].begin,
+                               ranges_[p].end, qrec);
+      max_qgen = std::max(max_qgen, launch(dev, std::move(qrec), trace, sink,
+                                           "queue_gen", queues[p].size()));
     }
     trace.queue_gen_ms = max_qgen;
 
@@ -436,30 +326,16 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
           recs.push_back(std::move(rec));
           rec_items.push_back(sub.size());
         }
-        const std::size_t count = recs.size();
-        const double group_start = dev.elapsed_ms();
-        device_ms += dev.run_concurrent(std::move(recs));
-        const auto timeline = dev.timeline();
-        for (std::size_t i = timeline.size() - count; i < timeline.size();
-             ++i) {
-          trace.kernels.push_back({timeline[i].name, timeline[i].time_ms});
-          const std::size_t member = i - (timeline.size() - count);
-          emit_span(superstep, member == 0 ? "classify" : "relax",
-                    timeline[i].name, group_start, timeline[i].time_ms,
-                    rec_items[member]);
-        }
+        device_ms += launch_group(dev, std::move(recs), rec_items, trace,
+                                  sink, "relax");
       } else {
         const Granularity gran = options_.fixed_granularity;
         sim::KernelRecord rec;
         rec.name = std::string("Relax(") + to_string(gran) + ")";
         trace.edges_inspected +=
             relax_queue(queues[p], gran, caches[p], dev.memory(), rec);
-        const std::string rname = rec.name;
-        const double rstart = dev.elapsed_ms();
-        const double rms = dev.run_kernel(std::move(rec));
-        device_ms += rms;
-        trace.kernels.push_back({rname, rms});
-        emit_span(superstep, "relax", rname, rstart, rms, queues[p].size());
+        device_ms += launch(dev, std::move(rec), trace, sink, "relax",
+                            queues[p].size());
       }
       max_expand = std::max(max_expand, device_ms);
     }
@@ -485,7 +361,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       comm_ms = system_.interconnect().allgather_ms(bitmap_bytes_each, P,
                                                     system_.elapsed_ms());
       trace.comm_ms = comm_ms;
-      emit_span(superstep, "comm", "improved-allgather",
+      emit_span(sink, superstep, "comm", "improved-allgather",
                 system_.elapsed_ms(), comm_ms,
                 bitmap_bytes_each * (P - 1) * P);
     }
@@ -508,11 +384,8 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
                                  kStateBytes);
         dev.memory().record_store(arec.mem, sim::AccessPattern::kSequential,
                                   n, kStateBytes);
-        const double astart = dev.elapsed_ms();
-        const double ams = dev.run_kernel(std::move(arec));
-        trace.kernels.push_back({"apply", ams});
-        emit_span(superstep, "apply", "apply", astart, ams, n);
-        max_apply = std::max(max_apply, ams);
+        max_apply = std::max(
+            max_apply, launch(dev, std::move(arec), trace, sink, "apply", n));
       }
     }
 
@@ -532,10 +405,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     ++superstep;
   }
 
-  // Final integrity sweep: corruption landing on the last superstep is
-  // still caught before the result is reported.
-  if (scrubs_on) scrub(superstep);
-  if (audits_on) audit_superstep(superstep);
+  loop.run_end(superstep, system_.elapsed_ms(), shards, audit_superstep);
 
   result.levels = std::move(first_touch);
   result.depth = superstep;

@@ -75,9 +75,7 @@ class ProgramRunner {
   std::vector<unsigned> device_ids_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
+  HubSet hubs_;
   // Load-time segment digests, computed only when scrubbing is armed.
   graph::SegmentDigests digests_;
 };

@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "bfs/result.hpp"
+#include "graph/csr.hpp"
 #include "graph/types.hpp"
 
 namespace ent::enterprise {
@@ -49,5 +51,10 @@ class StatusArray {
  private:
   std::vector<std::int32_t> levels_;
 };
+
+// Fills a BFS result from the final status array: depth, visited count,
+// levels, parents and traversed edges. The caller sets the time.
+void finalize(bfs::BfsResult& result, const graph::Csr& g,
+              StatusArray&& status, std::vector<graph::vertex_t>&& parents);
 
 }  // namespace ent::enterprise

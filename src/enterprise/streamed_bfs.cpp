@@ -6,8 +6,8 @@
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
+#include "enterprise/level_loop.hpp"
 #include "enterprise/status_array.hpp"
-#include "graph/degree.hpp"
 #include "util/assert.hpp"
 
 namespace ent::enterprise {
@@ -20,7 +20,8 @@ StreamedBfs::StreamedBfs(const graph::Csr& g, StreamedOptions options)
       options_(std::move(options)),
       device_(std::make_unique<sim::Device>(options_.core.device)),
       link_(options_.link),
-      ranges_(graph::partition_equal_edges(g, options_.num_partitions)) {
+      ranges_(graph::partition_equal_edges(g, options_.num_partitions)),
+      hubs_(select_hubs(g, options_.core)) {
   ENT_ASSERT_MSG(!g.directed(),
                  "streamed BFS requires an undirected graph");
   ENT_ASSERT(options_.resident_partitions >= 1);
@@ -38,16 +39,6 @@ StreamedBfs::StreamedBfs(const graph::Csr& g, StreamedOptions options)
                                static_cast<std::uint64_t>(r.size()) *
                                    sizeof(edge_t));
   }
-
-  vertex_t target = options_.core.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<vertex_t>(g.num_vertices() / 1024, 16,
-                                  options_.core.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
 }
 
 unsigned StreamedBfs::partition_of(vertex_t v) const {
@@ -131,7 +122,7 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
       edge_t m_f = 0;
       for (vertex_t v : queue) m_f += g.out_degree(v);
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = compute_gamma(queue, hub_flags_, total_hubs_);
+      trace.gamma = compute_gamma(queue, hubs_.flags, hubs_.count);
       if (options_.core.allow_direction_switch && !switched && level > 0 &&
           should_switch_to_bottom_up(options_.core.direction, trace.alpha,
                                      trace.gamma)) {
@@ -139,13 +130,10 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
         switched = true;
         sim::KernelRecord qrec;
         qrec.name = "queue_gen(switch)";
-        HubRefill refill;
-        if (options_.core.hub_cache) {
-          refill.cache = &cache;
-          refill.hub_flags = &hub_flags_;
-          refill.just_visited_level = level;
-        }
-        queue = gen.direction_switch(status, refill, qrec);
+        queue = gen.direction_switch(
+            status,
+            hubs_.refill(options_.core.hub_cache ? &cache : nullptr, level),
+            qrec);
         trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
         if (queue.empty()) break;
       }
@@ -199,13 +187,11 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
       }
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(filter)";
-      HubRefill refill;
-      if (options_.core.hub_cache) {
-        refill.cache = &cache;
-        refill.hub_flags = &hub_flags_;
-        refill.just_visited_level = next_level;
-      }
-      queue = gen.bottom_up_filter(queue, status, refill, qrec);
+      queue = gen.bottom_up_filter(
+          queue, status,
+          hubs_.refill(options_.core.hub_cache ? &cache : nullptr,
+                       next_level),
+          qrec);
       trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
     }
 
@@ -215,17 +201,7 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
     level = next_level;
   }
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  finalize(result, g, std::move(status), std::move(parents));
   result.time_ms = device_->elapsed_ms() + stats_.transfer_ms;
   return result;
 }

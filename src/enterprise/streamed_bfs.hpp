@@ -65,9 +65,7 @@ class StreamedBfs {
   std::vector<graph::VertexRange> ranges_;
   std::vector<std::uint64_t> partition_bytes_;
   std::list<unsigned> lru_;  // front = most recent
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
+  HubSet hubs_;
   StreamedRunStats stats_;
 };
 

@@ -55,6 +55,14 @@ void WarpAccumulator::finish() {
   current_max_ = 0;
 }
 
+void WarpAccumulator::charge(KernelRecord& record) {
+  finish();
+  record.warp_cycles += warp_cycles_;
+  record.thread_cycles += thread_cycles_;
+  record.launched_threads += threads_;
+  record.active_threads += active_threads_;
+}
+
 KernelCostModel::Terms KernelCostModel::terms(
     const KernelRecord& record) const {
   Terms t;

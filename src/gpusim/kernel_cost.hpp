@@ -65,6 +65,8 @@ class WarpAccumulator {
   void add_threads(std::uint64_t count, std::uint64_t work_cycles);
   // Flushes a partial warp (idle lanes cost nothing extra beyond the max).
   void finish();
+  // finish(), then adds the totals to `record`.
+  void charge(KernelRecord& record);
 
   std::uint64_t warp_cycles() const { return warp_cycles_; }
   std::uint64_t thread_cycles() const { return thread_cycles_; }

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "algorithms/analytics.hpp"
-#include "enterprise/enterprise_bfs.hpp"
+#include "bfs/engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -33,16 +33,21 @@ Csr two_triangles_bridge() {
                           opts);
 }
 
-BfsEngine enterprise_engine(const Csr& g) {
-  auto sys = std::make_shared<enterprise::EnterpriseBfs>(g);
-  return [sys](const Csr&, vertex_t s) { return sys->run(s); };
+// The analytics take any registered engine built over the same graph: the
+// sequential host reference, or the simulated Enterprise system.
+std::unique_ptr<bfs::Engine> cpu(const Csr& g) {
+  return bfs::make_engine("cpu", g);
+}
+
+std::unique_ptr<bfs::Engine> enterprise(const Csr& g) {
+  return bfs::make_engine("enterprise", g);
 }
 
 // ---- sssp ----------------------------------------------------------------------
 
 TEST(Sssp, DistancesOnPath) {
   const Csr g = path5();
-  const SsspResult r = sssp(g, 0, cpu_engine());
+  const SsspResult r = sssp(*cpu(g), 0);
   EXPECT_EQ(r.distance, (std::vector<std::int32_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(r.reached, 5u);
   EXPECT_DOUBLE_EQ(r.ecc, 4.0);
@@ -50,7 +55,7 @@ TEST(Sssp, DistancesOnPath) {
 
 TEST(Sssp, ShortestPathReconstruction) {
   const Csr g = two_triangles_bridge();
-  const SsspResult r = sssp(g, 0, cpu_engine());
+  const SsspResult r = sssp(*cpu(g), 0);
   const auto path = shortest_path(r, 0, 5);
   ASSERT_EQ(path.size(), 4u);  // 0 -> 2 -> 3 -> 5 (one of the valid routes)
   EXPECT_EQ(path.front(), 0u);
@@ -67,7 +72,7 @@ TEST(Sssp, UnreachableTargetsHaveEmptyPath) {
   opts.symmetrize = true;
   opts.directed = false;
   const Csr g = graph::build_csr(4, {{0, 1}, {2, 3}}, opts);
-  const SsspResult r = sssp(g, 0, cpu_engine());
+  const SsspResult r = sssp(*cpu(g), 0);
   EXPECT_EQ(r.distance[2], -1);
   EXPECT_TRUE(shortest_path(r, 0, 2).empty());
 }
@@ -80,8 +85,8 @@ TEST(Sssp, EnterpriseEngineMatchesCpu) {
   const Csr g = graph::generate_kronecker(p);
   vertex_t src = 0;
   while (g.out_degree(src) == 0) ++src;
-  const SsspResult a = sssp(g, src, cpu_engine());
-  const SsspResult b = sssp(g, src, enterprise_engine(g));
+  const SsspResult a = sssp(*cpu(g), src);
+  const SsspResult b = sssp(*enterprise(g), src);
   EXPECT_EQ(a.distance, b.distance);
   EXPECT_EQ(a.reached, b.reached);
 }
@@ -94,7 +99,7 @@ TEST(Components, CountsAndGiant) {
   opts.directed = false;
   // Component A {0,1,2}, component B {3,4}, isolated {5}.
   const Csr g = graph::build_csr(6, {{0, 1}, {1, 2}, {3, 4}}, opts);
-  const ComponentsResult r = connected_components(g, cpu_engine());
+  const ComponentsResult r = connected_components(g, *cpu(g));
   EXPECT_EQ(r.num_components, 3u);
   EXPECT_EQ(r.giant_size, 3u);
   EXPECT_EQ(r.component[0], r.component[2]);
@@ -110,7 +115,7 @@ TEST(Components, PartitionIsTotal) {
   p.directed = false;
   p.seed = 4;
   const Csr g = graph::generate_social(p);
-  const ComponentsResult r = connected_components(g, cpu_engine());
+  const ComponentsResult r = connected_components(g, *cpu(g));
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_LT(r.component[v], r.num_components);
   }
@@ -126,13 +131,13 @@ TEST(Components, PartitionIsTotal) {
 
 TEST(Diameter, ExactOnPath) {
   const Csr g = path5();
-  const DiameterResult r = pseudo_diameter(g, 2, cpu_engine());
+  const DiameterResult r = pseudo_diameter(g, 2, *cpu(g));
   EXPECT_EQ(r.lower_bound, 4);  // double sweep is exact on trees
 }
 
 TEST(Diameter, LowerBoundsGridDiameter) {
   const Csr g = graph::generate_road_grid(20, 20, 1);
-  const DiameterResult r = pseudo_diameter(g, 0, cpu_engine());
+  const DiameterResult r = pseudo_diameter(g, 0, *cpu(g));
   EXPECT_GE(r.lower_bound, 19);       // at least one full side
   EXPECT_LE(r.lower_bound, 2 * 40);   // sanity ceiling
 }
@@ -141,7 +146,7 @@ TEST(Diameter, LowerBoundsGridDiameter) {
 
 TEST(Betweenness, BridgeVerticesDominate) {
   const Csr g = two_triangles_bridge();
-  const auto bc = betweenness_centrality(g, cpu_engine(), 0);
+  const auto bc = betweenness_centrality(g, *cpu(g), 0);
   // Bridge endpoints 2 and 3 carry all cross-triangle paths.
   EXPECT_GT(bc[2], bc[0]);
   EXPECT_GT(bc[2], bc[1]);
@@ -153,7 +158,7 @@ TEST(Betweenness, PathCenterExact) {
   // On a path of 5, exact BC of the middle vertex is 4 pairs routed = 4
   // ((0,3),(0,4),(1,3),(1,4) plus symmetry handled by the /2 correction).
   const Csr g = path5();
-  const auto bc = betweenness_centrality(g, cpu_engine(), 0);
+  const auto bc = betweenness_centrality(g, *cpu(g), 0);
   EXPECT_NEAR(bc[2], 4.0, 1e-9);
   EXPECT_NEAR(bc[0], 0.0, 1e-9);
   EXPECT_NEAR(bc[1], 3.0, 1e-9);
@@ -166,8 +171,8 @@ TEST(Betweenness, SampledApproximatesExact) {
   p.directed = false;
   p.seed = 9;
   const Csr g = graph::generate_social(p);
-  const auto exact = betweenness_centrality(g, cpu_engine(), 0);
-  const auto sampled = betweenness_centrality(g, cpu_engine(), 300, 7);
+  const auto exact = betweenness_centrality(g, *cpu(g), 0);
+  const auto sampled = betweenness_centrality(g, *cpu(g), 300, 7);
   // Spearman-ish check: the top-exact vertex should rank high in the
   // sampled estimate.
   const auto top_exact = static_cast<vertex_t>(
@@ -181,8 +186,8 @@ TEST(Betweenness, SampledApproximatesExact) {
 
 TEST(Betweenness, EnterpriseEngineMatchesCpu) {
   const Csr g = two_triangles_bridge();
-  const auto a = betweenness_centrality(g, cpu_engine(), 0);
-  const auto b = betweenness_centrality(g, enterprise_engine(g), 0);
+  const auto a = betweenness_centrality(g, *cpu(g), 0);
+  const auto b = betweenness_centrality(g, *enterprise(g), 0);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t v = 0; v < a.size(); ++v) EXPECT_NEAR(a[v], b[v], 1e-9);
 }
@@ -191,7 +196,7 @@ TEST(Betweenness, EnterpriseEngineMatchesCpu) {
 
 TEST(Closeness, CenterBeatsLeaf) {
   const Csr g = path5();
-  const auto c = harmonic_closeness(g, {0, 2}, cpu_engine());
+  const auto c = harmonic_closeness(g, {0, 2}, *cpu(g));
   ASSERT_EQ(c.size(), 2u);
   EXPECT_GT(c[1], c[0]);  // vertex 2 (center) closer to everything
   // Exact values: center = 2*(1 + 1/2), leaf = 1 + 1/2 + 1/3 + 1/4.
@@ -201,9 +206,9 @@ TEST(Closeness, CenterBeatsLeaf) {
 
 TEST(Reachability, HopCountsOnPath) {
   const Csr g = path5();
-  EXPECT_EQ(k_hop_reachability(g, 0, 0, cpu_engine()), 1u);
-  EXPECT_EQ(k_hop_reachability(g, 0, 2, cpu_engine()), 3u);
-  EXPECT_EQ(k_hop_reachability(g, 2, 2, cpu_engine()), 5u);
+  EXPECT_EQ(k_hop_reachability(g, 0, 0, *cpu(g)), 1u);
+  EXPECT_EQ(k_hop_reachability(g, 0, 2, *cpu(g)), 3u);
+  EXPECT_EQ(k_hop_reachability(g, 2, 2, *cpu(g)), 5u);
 }
 
 }  // namespace

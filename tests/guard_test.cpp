@@ -117,19 +117,29 @@ TEST(GuardedEngine, TinyDeadlineTripsCooperatively) {
   EXPECT_EQ(guarded->last_run_stats().last_trip, "deadline");
 }
 
+// Every driver that checks the guard at its level top trips at the same
+// level: the BFS drivers and the vertex-program engine on one and on four
+// devices.
 TEST(GuardedEngine, LevelBreakerTripsAtTheConfiguredLevel) {
   const Csr g = test_graph(2);
   const vertex_t source = connected_source(g);
 
   bfs::EngineConfig config;
   config.guards.max_levels = 2;
-  const auto engine = bfs::make_engine("guarded:enterprise", g, config);
-  try {
-    engine->run(source);
-    FAIL() << "expected GuardTripped";
-  } catch (const bfs::GuardTripped& t) {
-    EXPECT_EQ(t.kind(), bfs::GuardKind::kLevels);
-    EXPECT_EQ(t.level(), 2);
+  config.multi_gpu.num_gpus = 4;
+  for (const char* spec : {"guarded:enterprise", "guarded:multi-gpu",
+                           "guarded:enterprise/sssp",
+                           "guarded:multi-gpu/sssp"}) {
+    SCOPED_TRACE(spec);
+    const auto engine = bfs::make_engine(spec, g, config);
+    ASSERT_NE(engine, nullptr);
+    try {
+      engine->run(source);
+      ADD_FAILURE() << "expected GuardTripped";
+    } catch (const bfs::GuardTripped& t) {
+      EXPECT_EQ(t.kind(), bfs::GuardKind::kLevels);
+      EXPECT_EQ(t.level(), 2);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
-// Pinned simulated fingerprint: the exact priced results of `enterprise` on
-// two fixed graphs. The simulated clock carries the paper's claims, so a
-// host-side speedup must leave every value here bit-for-bit unchanged. A
-// drift of one issue cycle, one load transaction or one ulp of any level's
+// Pinned simulated fingerprint: the exact priced results of `enterprise`,
+// `multi-gpu` and the vertex-program engine on fixed graphs. The simulated
+// clock carries the paper's claims, so a host-side speedup or a refactor of
+// a driver's level loop must leave every value here bit-for-bit unchanged.
+// A drift of one issue cycle, one load transaction or one ulp of any level's
 // priced time fails this test. A deliberate cost-model change re-pins the
 // table and says why.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bfs/engine.hpp"
@@ -28,8 +30,10 @@ struct Fingerprint {
   std::uint64_t time_ms_bits;  // bit pattern of BfsResult::time_ms
   graph::edge_t edges_traversed;
   std::size_t levels;
-  // FNV-1a over the bit patterns of every level's (queue_gen_ms, expand_ms).
+  // FNV-1a over the bit patterns of every level's (queue_gen_ms, expand_ms),
+  // followed by comm_ms when the case prices an interconnect.
   std::uint64_t level_digest;
+  // Pinned only for engines with a device(); 0 otherwise.
   std::uint64_t gld_transactions;
   // SIMT issue cycles over every kernel of the run: catches a pricing drift
   // in a launch whose time is set by another bound.
@@ -48,20 +52,24 @@ std::vector<vertex_t> quarter_sources(const Csr& g) {
   return sources;
 }
 
-void expect_fingerprints(const Csr& g, std::span<const Fingerprint> pinned) {
-  const auto engine = bfs::make_engine("enterprise", g);
+void expect_fingerprints(const std::string& spec, const Csr& g,
+                         std::span<const Fingerprint> pinned,
+                         const bfs::EngineConfig& config = {},
+                         bool with_comm = false) {
+  const auto engine = bfs::make_engine(spec, g, config);
   ASSERT_NE(engine, nullptr);
   const std::vector<vertex_t> sources = quarter_sources(g);
   ASSERT_EQ(sources.size(), pinned.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const Fingerprint& want = pinned[i];
-    SCOPED_TRACE(::testing::Message() << "source " << sources[i]);
+    SCOPED_TRACE(::testing::Message() << spec << " source " << sources[i]);
     ASSERT_EQ(sources[i], want.source);
     const bfs::BfsResult r = engine->run(sources[i]);
     std::vector<double> level_ms;
     for (const bfs::LevelTrace& t : r.level_trace) {
       level_ms.push_back(t.queue_gen_ms);
       level_ms.push_back(t.expand_ms);
+      if (with_comm) level_ms.push_back(t.comm_ms);
     }
     EXPECT_EQ(std::bit_cast<std::uint64_t>(r.time_ms), want.time_ms_bits)
         << "time_ms " << r.time_ms;
@@ -69,13 +77,23 @@ void expect_fingerprints(const Csr& g, std::span<const Fingerprint> pinned) {
     EXPECT_EQ(r.level_trace.size(), want.levels);
     EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(level_ms))),
               want.level_digest);
+    const sim::Device* device = engine->device();
+    if (device == nullptr) continue;
     EXPECT_EQ(engine->counters()->gld_transactions, want.gld_transactions);
     std::uint64_t warp_cycles = 0;
-    for (const sim::KernelRecord& k : engine->device()->timeline()) {
+    for (const sim::KernelRecord& k : device->timeline()) {
       warp_cycles += k.warp_cycles;
     }
     EXPECT_EQ(warp_cycles, want.warp_cycles);
   }
+}
+
+Csr kronecker12() {
+  graph::KroneckerParams p;
+  p.scale = 12;
+  p.edge_factor = 16;
+  p.seed = 11;
+  return graph::generate_kronecker(p);
 }
 
 TEST(ModelFingerprint, EnterpriseOnRoadSixteenth) {
@@ -93,15 +111,11 @@ TEST(ModelFingerprint, EnterpriseOnRoadSixteenth) {
       {3072, 0x3fed143570fcfec7ull, 15072, 111, 0x9b876e2947023934ull, 591999,
        222595},
   };
-  expect_fingerprints(g, pinned);
+  expect_fingerprints("enterprise", g, pinned);
 }
 
 TEST(ModelFingerprint, EnterpriseOnKroneckerScale12) {
-  graph::KroneckerParams p;
-  p.scale = 12;
-  p.edge_factor = 16;
-  p.seed = 11;
-  const Csr g = graph::generate_kronecker(p);
+  const Csr g = kronecker12();
   const Fingerprint pinned[] = {
       {0, 0x3fa777fb6d19136eull, 130877, 5, 0x11a6ed0faa98f230ull, 12515,
        10101},
@@ -112,7 +126,45 @@ TEST(ModelFingerprint, EnterpriseOnKroneckerScale12) {
       {3072, 0x3fa70ee8f04987f6ull, 130877, 5, 0x42818bbc8efea651ull, 19306,
        9860},
   };
-  expect_fingerprints(g, pinned);
+  expect_fingerprints("enterprise", g, pinned);
+}
+
+// Four private status arrays, the compressed all-gather and the per-device
+// queue scans. The engine exposes no single device, so only the run-level
+// fields and the per-level digest (with comm_ms) are pinned.
+TEST(ModelFingerprint, MultiGpuFourOnKroneckerScale12) {
+  const Csr g = kronecker12();
+  bfs::EngineConfig config;
+  config.multi_gpu.num_gpus = 4;
+  const Fingerprint pinned[] = {
+      {0, 0x3fc52050eedf96b1ull, 130877, 5, 0xa73d6e78cd4df975ull, 0, 0},
+      {1026, 0x3fc6d3563af74c07ull, 130877, 5, 0x6428a8fa2c8c26f5ull, 0, 0},
+      {2048, 0x3fc53fa965f42726ull, 130877, 5, 0x5f5b4934b24c43f9ull, 0, 0},
+      {3072, 0x3fc580a92e63ad11ull, 130877, 5, 0x71db469041070ae8ull, 0, 0},
+  };
+  expect_fingerprints("multi-gpu", g, pinned, config, /*with_comm=*/true);
+}
+
+// cc on a directed graph relaxes along in-edges too, so this pins the
+// program engine's reverse-CSR relax path. cc's answer and its priced run
+// do not depend on the source, so all four rows agree.
+TEST(ModelFingerprint, ConnectedComponentsOnTwitterSixtyFourth) {
+  graph::SuiteOptions opt;
+  opt.scale = 1.0 / 64;
+  opt.seed = 11;
+  const Csr g = graph::make_suite_graph("TW", opt).graph;
+  ASSERT_TRUE(g.directed());
+  const Fingerprint pinned[] = {
+      {0, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
+       38121},
+      {1024, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
+       38121},
+      {2048, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
+       38121},
+      {3072, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
+       38121},
+  };
+  expect_fingerprints("enterprise/cc", g, pinned, {}, /*with_comm=*/true);
 }
 
 }  // namespace

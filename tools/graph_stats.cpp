@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   }
   if (args.get_bool("components", false) && !g.directed()) {
     const auto cc =
-        algorithms::connected_components(g, algorithms::cpu_engine());
+        algorithms::connected_components(g, *bfs::make_engine("cpu", g));
     std::cout << "\ncomponents: " << cc.num_components << ", giant holds "
               << fmt_percent(static_cast<double>(cc.giant_size) /
                              g.num_vertices())
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   }
   if (args.get_bool("diameter", false)) {
     const auto d =
-        algorithms::pseudo_diameter(g, 0, algorithms::cpu_engine());
+        algorithms::pseudo_diameter(g, 0, *bfs::make_engine("cpu", g));
     std::cout << "\npseudo-diameter >= " << d.lower_bound << " (between "
               << d.endpoint_a << " and " << d.endpoint_b << ", "
               << d.sweeps << " sweeps)\n";
