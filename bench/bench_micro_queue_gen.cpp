@@ -1,9 +1,11 @@
 // Host microbenchmarks for the three frontier-queue generation workflows
-// (§4.1): simulation throughput in statuses/second.
+// (§4.1), plus the bitmap harvest that replaces the host side of the
+// top-down scan: simulation throughput in statuses/second.
 #include <benchmark/benchmark.h>
 
 #include "enterprise/frontier_queue.hpp"
 #include "gpusim/device.hpp"
+#include "util/bit_array.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -32,6 +34,28 @@ void BM_TopDownScan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_TopDownScan)->Range(1 << 14, 1 << 20);
+
+// The same queue as BM_TopDownScan, from the expansion's discovery bitmap:
+// each iteration sets the frontier's bits, as the expansion does, then
+// harvests them.
+void BM_TopDownHarvest(benchmark::State& state) {
+  const auto n = static_cast<graph::vertex_t>(state.range(0));
+  sim::Device dev(sim::k40());
+  const enterprise::FrontierQueueGenerator gen(dev.memory(), 65536);
+  const auto sa = make_status(n, 0.05, 3);
+  std::vector<graph::vertex_t> frontier;
+  for (graph::vertex_t v = 0; v < n; ++v) {
+    if (sa.level(v) == 3) frontier.push_back(v);
+  }
+  BitArray discovered(n);
+  for (auto _ : state) {
+    for (graph::vertex_t v : frontier) discovered.set(v);
+    sim::KernelRecord rec;
+    benchmark::DoNotOptimize(gen.harvest(discovered, rec));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_TopDownHarvest)->Range(1 << 14, 1 << 20);
 
 void BM_DirectionSwitchScan(benchmark::State& state) {
   const auto n = static_cast<graph::vertex_t>(state.range(0));

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
+#include "util/bit_array.hpp"
 
 namespace ent::enterprise {
 
@@ -114,6 +115,13 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   }
   const Shard shard{options_.device_ordinal, status.raw_bytes(), &queue,
                     &status};
+  // The top-down expansion marks each vertex it discovers here, and the next
+  // queue is harvested from the bits instead of rescanning all n statuses.
+  // A status flip can plant a level the expansion never wrote, so a run with
+  // flip rules keeps the scan. A fault thrown mid-level drops the bits with
+  // the run.
+  BitArray discovered_bits(loop.flips_armed() ? 0 : n);
+  BitArray* const discovered = loop.flips_armed() ? nullptr : &discovered_bits;
 
   const auto sum_out_degrees = [&](std::span<const vertex_t> q) {
     edge_t sum = 0;
@@ -213,12 +221,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
       for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
                                Granularity::kCta, Granularity::kGrid}) {
         const auto& sub = classified.of(gran);
-        if (metrics != nullptr) {
-          metrics
-              ->counter(std::string("enterprise.queue.") +
-                        to_string(gran))
-              .add(sub.size());
-        }
+        loop.count_queue(gran, sub.size());
         if (sub.empty()) continue;
         sim::KernelRecord rec;
         rec.name = std::string(bottom_up ? "BU-" : "") + to_string(gran);
@@ -228,7 +231,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
                                    next_level, probe_cache, device_->memory(),
                                    rec, order)
                 : expand_top_down(expand_graph, status, parents, sub, gran,
-                                  next_level, device_->memory(), rec, order);
+                                  next_level, device_->memory(), rec, order,
+                                  discovered);
         newly_visited += out.newly_visited;
         trace.edges_inspected += out.edges_inspected;
         recs.push_back(std::move(rec));
@@ -250,7 +254,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
                                        device_->memory(), rec, order)
                     : expand_top_down(expand_graph, status, parents, queue,
                                       gran, next_level, device_->memory(),
-                                      rec, order);
+                                      rec, order, discovered);
       newly_visited += out.newly_visited;
       trace.edges_inspected += out.edges_inspected;
       trace.expand_ms += launch(*device_, std::move(rec), trace, sink,
@@ -270,17 +274,15 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
                 hits);
       emit_span(sink, level, "hub_cache", "miss", device_->elapsed_ms(), 0.0,
                 probes - hits);
-      if (metrics != nullptr) {
-        metrics->counter("enterprise.hub_cache.probes").add(probes);
-        metrics->counter("enterprise.hub_cache.hits").add(hits);
-      }
+      loop.count_hub_cache(probes, hits);
     }
 
     // Next level's queue.
     if (!bottom_up) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
-      queue = gen.top_down(status, next_level, qrec);
+      queue = discovered != nullptr ? gen.harvest(*discovered, qrec)
+                                    : gen.top_down(status, next_level, qrec);
       visited_degree_sum += sum_out_degrees(queue);
       trace.queue_gen_ms += launch(*device_, std::move(qrec), trace, sink,
                                    "queue_gen", queue.size());

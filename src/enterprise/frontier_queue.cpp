@@ -1,5 +1,7 @@
 #include "enterprise/frontier_queue.hpp"
 
+#include <bit>
+
 #include "enterprise/cost_constants.hpp"
 #include "util/assert.hpp"
 
@@ -89,6 +91,25 @@ std::vector<vertex_t> FrontierQueueGenerator::top_down(
   // the queue out of vertex order; the cost model tags downstream adjacency
   // loads by queue order, so physical reordering here is unnecessary.
   charge_scan(record, end - begin, queue.size(), AccessPattern::kSequential);
+  return queue;
+}
+
+std::vector<vertex_t> FrontierQueueGenerator::harvest(
+    BitArray& discovered, sim::KernelRecord& record) const {
+  std::vector<vertex_t> queue;
+  const std::span<std::uint64_t> words = discovered.words();
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    std::uint64_t word = words[i];
+    if (word == 0) continue;
+    words[i] = 0;
+    const auto base = static_cast<vertex_t>(i * 64);
+    for (; word != 0; word &= word - 1) {
+      queue.push_back(base + static_cast<vertex_t>(std::countr_zero(word)));
+    }
+  }
+  // The device still scans every status: the charge is top_down's.
+  charge_scan(record, discovered.size(), queue.size(),
+              AccessPattern::kSequential);
   return queue;
 }
 

@@ -18,6 +18,10 @@
 // The switch and filter workflows optionally refill the hub cache with
 // just-visited high-out-degree vertices as they stream past (§4.3: the
 // cache is rebuilt during frontier queue generation).
+//
+// The device always runs the full top-down scan. The host can skip it:
+// `harvest` lists the expansion's discoveries from a bitmap and charges the
+// same scan, so the priced kernel does not change.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +32,7 @@
 #include "enterprise/status_array.hpp"
 #include "gpusim/kernel_cost.hpp"
 #include "gpusim/memory_model.hpp"
+#include "util/bit_array.hpp"
 
 namespace ent::enterprise {
 
@@ -57,6 +62,13 @@ class FrontierQueueGenerator {
                                         graph::vertex_t begin,
                                         graph::vertex_t end,
                                         sim::KernelRecord& record) const;
+
+  // The top-down queue from the expansion's discovery bitmap: the set bits
+  // in ascending order, cleared on the way. When the bits are exactly the
+  // vertices at `level`, queue and charge equal top_down(status, level,
+  // record), with one bit per status. The host walk is O(n/64 + queue).
+  std::vector<graph::vertex_t> harvest(BitArray& discovered,
+                                       sim::KernelRecord& record) const;
 
   // Queue of unvisited vertices, ascending order (chunked scan). Refills
   // the hub cache with hubs at refill.just_visited_level when provided.

@@ -113,7 +113,8 @@ ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
                              std::span<const vertex_t> queue,
                              Granularity gran, std::int32_t next_level,
                              const sim::MemoryModel& mm,
-                             sim::KernelRecord& record, QueueOrder order) {
+                             sim::KernelRecord& record, QueueOrder order,
+                             BitArray* discovered) {
   ExpandOutput out;
   MemTally tally;
   tally.queue_loads = queue.size();
@@ -132,6 +133,7 @@ ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
       if (w >= n) continue;
       if (!status.visited(w)) {
         status.visit(w, next_level);
+        if (discovered != nullptr) discovered->set(w);
         parents[w] = v;
         ++visited_here;
       }

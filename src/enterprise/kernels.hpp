@@ -24,6 +24,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/kernel_cost.hpp"
 #include "gpusim/memory_model.hpp"
+#include "util/bit_array.hpp"
 
 namespace ent::obs {
 class TraceSink;
@@ -49,14 +50,17 @@ enum class QueueOrder { kScattered, kSorted };
 
 // Top-down: inspect every out-neighbor of each queued frontier; unvisited
 // neighbors are marked `next_level` with the frontier as parent. Last writer
-// wins, as in the status-array discipline (§2.1: no atomics needed).
+// wins, as in the status-array discipline (§2.1: no atomics needed). When
+// `discovered` is given, each newly marked vertex also sets its bit there,
+// for FrontierQueueGenerator::harvest.
 ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
                              std::vector<graph::vertex_t>& parents,
                              std::span<const graph::vertex_t> queue,
                              Granularity gran, std::int32_t next_level,
                              const sim::MemoryModel& mm,
                              sim::KernelRecord& record,
-                             QueueOrder order = QueueOrder::kScattered);
+                             QueueOrder order = QueueOrder::kScattered,
+                             BitArray* discovered = nullptr);
 
 // Bottom-up: `queue` holds unvisited vertices; each scans its in-neighbors
 // (`in_edges`; pass the graph itself when undirected) until one is visited,

@@ -76,9 +76,30 @@ bool LevelLoop::check(std::int32_t level, double now_ms,
   device_ = shards.front().device;
   if (scrub_due) scrub();
   if (audits_on_ && options_.metrics != nullptr) {
-    options_.metrics->counter("integrity.audit.checks").increment();
+    counter(audit_checks_, "integrity.audit.checks").increment();
   }
   return audits_on_;
+}
+
+obs::Counter& LevelLoop::counter(obs::Counter*& slot, const char* name) {
+  if (slot == nullptr) slot = &options_.metrics->counter(name);
+  return *slot;
+}
+
+void LevelLoop::count_queue(Granularity gran, std::uint64_t frontiers) {
+  if (options_.metrics == nullptr) return;
+  obs::Counter*& slot = queue_counters_[static_cast<std::size_t>(gran)];
+  if (slot == nullptr) {
+    slot = &options_.metrics->counter(std::string("enterprise.queue.") +
+                                      to_string(gran));
+  }
+  slot->add(frontiers);
+}
+
+void LevelLoop::count_hub_cache(std::uint64_t probes, std::uint64_t hits) {
+  if (options_.metrics == nullptr) return;
+  counter(hub_probes_, "enterprise.hub_cache.probes").add(probes);
+  counter(hub_hits_, "enterprise.hub_cache.hits").add(hits);
 }
 
 void LevelLoop::level_end(std::int32_t next_level, vertex_t newly_visited,
@@ -132,9 +153,9 @@ void LevelLoop::audit_failed(const std::string& component,
 
 // Re-verifies the load-time CSR digests: host-side hashing, no simulated
 // kernels, like a DMA'd scrubber that does not occupy SMXs.
-void LevelLoop::scrub() const {
+void LevelLoop::scrub() {
   if (options_.metrics != nullptr) {
-    options_.metrics->counter("integrity.scrub.passes").increment();
+    counter(scrub_passes_, "integrity.scrub.passes").increment();
   }
   if (const auto mm = digests_.verify(g_)) {
     detect(sim::IntegrityKind::kDigest, "integrity.scrub.mismatches",

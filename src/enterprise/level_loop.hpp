@@ -5,6 +5,7 @@
 // each call is a few predictable branches: no allocation, no strings.
 #pragma once
 
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <span>
@@ -22,6 +23,10 @@
 namespace ent::bfs {
 struct LevelCheckpoint;
 }  // namespace ent::bfs
+
+namespace ent::obs {
+class Counter;
+}  // namespace ent::obs
 
 namespace ent::enterprise {
 
@@ -98,6 +103,17 @@ class LevelLoop {
                                  std::string detail) const;
   SplitMix64& audit_rng() { return audit_rng_; }
 
+  // Whether the fault plan carries flip rules. Only a full status scan
+  // builds a top-down queue that holds a flipped status byte.
+  bool flips_armed() const { return flips_armed_; }
+
+  // The level bodies' counters: enterprise.queue.<granularity> and
+  // enterprise.hub_cache.{probes,hits}. Each is looked up by name once per
+  // run, at its first use, so a run that never gets there adds no entry.
+  // No-ops without a registry.
+  void count_queue(Granularity gran, std::uint64_t frontiers);
+  void count_hub_cache(std::uint64_t probes, std::uint64_t hits);
+
  private:
   bool open_level(std::int32_t level, std::uint64_t frontier, double now_ms,
                   std::span<const Shard> shards);
@@ -105,7 +121,10 @@ class LevelLoop {
   // audits are on; returns whether they are.
   bool check(std::int32_t level, double now_ms, std::span<const Shard> shards,
              bool scrub_due);
-  void scrub() const;
+  void scrub();
+  // The registry's counter `name`, resolved into `slot` on first use. Map
+  // nodes never move, so the pointer stays valid for the run.
+  obs::Counter& counter(obs::Counter*& slot, const char* name);
   // The status audit over P >= 1 (status, queue) pairs.
   void audit_status(std::span<const Shard> shards, bool bottom_up);
   // The detection protocol: bump the named counter and
@@ -131,6 +150,11 @@ class LevelLoop {
   std::int32_t level_ = 0;  // where the current check reports
   double now_ms_ = 0.0;
   unsigned device_ = 0;
+  obs::Counter* audit_checks_ = nullptr;
+  obs::Counter* scrub_passes_ = nullptr;
+  std::array<obs::Counter*, 4> queue_counters_{};  // by Granularity
+  obs::Counter* hub_probes_ = nullptr;
+  obs::Counter* hub_hits_ = nullptr;
 };
 
 // Load-time segment digests for the scrub pass; empty when scrubbing is off.

@@ -313,11 +313,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
         for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
                                  Granularity::kCta, Granularity::kGrid}) {
           const auto& sub = classified.of(gran);
-          if (metrics != nullptr) {
-            metrics
-                ->counter(std::string("enterprise.queue.") + to_string(gran))
-                .add(sub.size());
-          }
+          loop.count_queue(gran, sub.size());
           if (sub.empty()) continue;
           sim::KernelRecord rec;
           rec.name = to_string(gran);
@@ -348,10 +344,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
         probes += c.probes();
         hits += c.hits();
       }
-      if (probes != 0) {
-        metrics->counter("enterprise.hub_cache.probes").add(probes);
-        metrics->counter("enterprise.hub_cache.hits").add(hits);
-      }
+      if (probes != 0) loop.count_hub_cache(probes, hits);
     }
 
     // (3) Multi-device sync: the improved flags all-gather as one bit per

@@ -10,6 +10,7 @@
 #include "enterprise/status_array.hpp"
 #include "graph/builder.hpp"
 #include "gpusim/device.hpp"
+#include "util/bit_array.hpp"
 
 namespace ent::enterprise {
 namespace {
@@ -197,7 +198,32 @@ TEST_F(QueueGenTest, TopDownBlockScanMatchesPlainScan) {
   sim::KernelRecord rec;
   EXPECT_EQ(gen_.top_down(sa, 4, rec), plain_scan(0, n));
   // A range whose blocks start off the 256 grid (one multi-GPU slice).
-  EXPECT_EQ(gen_.top_down(sa, 4, 2, 1281, rec), plain_scan(2, 1281));
+  sim::KernelRecord range_rec;
+  EXPECT_EQ(gen_.top_down(sa, 4, 2, 1281, range_rec), plain_scan(2, 1281));
+
+  // The expansion's discovery bitmap over the same eight vertices. n is not
+  // a multiple of 64, so the last word is partial.
+  BitArray discovered(n);
+  for (vertex_t v : {0u, 3u, 255u, 1024u, 1100u, 1279u, 1280u, n - 1}) {
+    discovered.set(v);
+  }
+  sim::KernelRecord harvest_rec;
+  EXPECT_EQ(gen_.harvest(discovered, harvest_rec), plain_scan(0, n));
+  // The device still scans every status, so the charge is the scan's.
+  EXPECT_EQ(harvest_rec.warp_cycles, rec.warp_cycles);
+  EXPECT_EQ(harvest_rec.critical_cycles, rec.critical_cycles);
+  EXPECT_EQ(harvest_rec.thread_cycles, rec.thread_cycles);
+  EXPECT_EQ(harvest_rec.launched_threads, rec.launched_threads);
+  EXPECT_EQ(harvest_rec.active_threads, rec.active_threads);
+  EXPECT_EQ(harvest_rec.mem.load_transactions, rec.mem.load_transactions);
+  EXPECT_EQ(harvest_rec.mem.store_transactions, rec.mem.store_transactions);
+  EXPECT_EQ(harvest_rec.mem.dram_transactions, rec.mem.dram_transactions);
+  EXPECT_EQ(harvest_rec.mem.dram_bytes, rec.mem.dram_bytes);
+  EXPECT_EQ(harvest_rec.mem.requested_bytes, rec.mem.requested_bytes);
+  EXPECT_EQ(harvest_rec.mem.random_transactions,
+            rec.mem.random_transactions);
+  EXPECT_EQ(harvest_rec.mem.shared_accesses, rec.mem.shared_accesses);
+  EXPECT_EQ(discovered.popcount(), 0u);  // the harvest clears its bits
 }
 
 TEST_F(QueueGenTest, SwitchQueueIsSortedUnvisited) {

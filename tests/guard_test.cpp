@@ -4,6 +4,7 @@
 // for never-tripping limits, and the RunReport guards section.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "bfs/engine.hpp"
@@ -139,6 +140,35 @@ TEST(GuardedEngine, LevelBreakerTripsAtTheConfiguredLevel) {
     } catch (const bfs::GuardTripped& t) {
       EXPECT_EQ(t.kind(), bfs::GuardKind::kLevels);
       EXPECT_EQ(t.level(), 2);
+    }
+  }
+}
+
+// The level bodies resolve their counters at first use, so a run cancelled
+// at its first level top adds no per-level counter to the registry, not
+// even a zero.
+TEST(GuardedEngine, CancelAtLevelZeroAddsNoLevelCounters) {
+  const Csr g = test_graph(4);
+  const vertex_t source = connected_source(g);
+  const std::atomic<bool> cancel{true};
+  for (const char* spec : {"guarded:enterprise", "guarded:enterprise/sssp"}) {
+    SCOPED_TRACE(spec);
+    obs::MetricsRegistry metrics;
+    bfs::EngineConfig config;
+    config.metrics = &metrics;
+    config.guards.cancel = &cancel;
+    config.integrity.audit = bfs::AuditMode::kFull;
+    const auto engine = bfs::make_engine(spec, g, config);
+    try {
+      engine->run(source);
+      ADD_FAILURE() << "expected GuardTripped";
+    } catch (const bfs::GuardTripped& t) {
+      EXPECT_EQ(t.kind(), bfs::GuardKind::kCancelled);
+      EXPECT_EQ(t.level(), 0);
+    }
+    for (const auto& [name, counter] : metrics.counters()) {
+      EXPECT_NE(name.rfind("enterprise.", 0), 0u) << name;
+      EXPECT_NE(name.rfind("integrity.", 0), 0u) << name;
     }
   }
 }

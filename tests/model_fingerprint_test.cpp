@@ -4,7 +4,8 @@
 // a driver's level loop must leave every value here bit-for-bit unchanged.
 // A drift of one issue cycle, one load transaction or one ulp of any level's
 // priced time fails this test. A deliberate cost-model change re-pins the
-// table and says why.
+// table and says why. The BFS cases also pin the tree itself: the first
+// visitor of a vertex becomes its parent, so parents follow queue order.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -38,6 +39,9 @@ struct Fingerprint {
   // SIMT issue cycles over every kernel of the run: catches a pricing drift
   // in a launch whose time is set by another bound.
   std::uint64_t warp_cycles;
+  // FNV-1a over the result's levels, continued over its parents. Pinned only
+  // for BFS engines; 0 otherwise.
+  std::uint64_t tree_digest;
 };
 
 // Four sources spread over the id space: the first vertex with an edge at or
@@ -77,6 +81,12 @@ void expect_fingerprints(const std::string& spec, const Csr& g,
     EXPECT_EQ(r.level_trace.size(), want.levels);
     EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(level_ms))),
               want.level_digest);
+    if (want.tree_digest != 0) {
+      EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(r.parents)),
+                               graph::fnv1a64(std::as_bytes(
+                                   std::span(r.levels)))),
+                want.tree_digest);
+    }
     const sim::Device* device = engine->device();
     if (device == nullptr) continue;
     EXPECT_EQ(engine->counters()->gld_transactions, want.gld_transactions);
@@ -103,13 +113,13 @@ TEST(ModelFingerprint, EnterpriseOnRoadSixteenth) {
   const Csr g = graph::make_suite_graph("ROAD", opt).graph;
   const Fingerprint pinned[] = {
       {0, 0x3fecfcf8c03009b2ull, 15072, 109, 0x604eee8ced53b23eull, 635961,
-       242015},
+       242015, 0x9f725c1f692f8a46ull},
       {1024, 0x3fe972b95317259bull, 15072, 95, 0x8d59523fd6cfe184ull, 740979,
-       264758},
+       264758, 0xdb6c75b9478973beull},
       {2048, 0x3fe949b9dd94b536ull, 15072, 95, 0x18e32a981fe45c63ull, 776441,
-       273352},
+       273352, 0xda90e314c5b5dd7dull},
       {3072, 0x3fed143570fcfec7ull, 15072, 111, 0x9b876e2947023934ull, 591999,
-       222595},
+       222595, 0xa3592d2800290a89ull},
   };
   expect_fingerprints("enterprise", g, pinned);
 }
@@ -118,13 +128,13 @@ TEST(ModelFingerprint, EnterpriseOnKroneckerScale12) {
   const Csr g = kronecker12();
   const Fingerprint pinned[] = {
       {0, 0x3fa777fb6d19136eull, 130877, 5, 0x11a6ed0faa98f230ull, 12515,
-       10101},
+       10101, 0xddf03830ad4e6c71ull},
       {1026, 0x3fae403c147da9e8ull, 130877, 5, 0x8bc873e2e6d3fe2bull, 19139,
-       9724},
+       9724, 0xe23dac029b00c5b1ull},
       {2048, 0x3fa7c92869088f62ull, 130877, 5, 0x8476652b6bd465c7ull, 20016,
-       28349},
+       28349, 0xc93988843890d046ull},
       {3072, 0x3fa70ee8f04987f6ull, 130877, 5, 0x42818bbc8efea651ull, 19306,
-       9860},
+       9860, 0x7473cbf6c319d600ull},
   };
   expect_fingerprints("enterprise", g, pinned);
 }
@@ -137,10 +147,14 @@ TEST(ModelFingerprint, MultiGpuFourOnKroneckerScale12) {
   bfs::EngineConfig config;
   config.multi_gpu.num_gpus = 4;
   const Fingerprint pinned[] = {
-      {0, 0x3fc52050eedf96b1ull, 130877, 5, 0xa73d6e78cd4df975ull, 0, 0},
-      {1026, 0x3fc6d3563af74c07ull, 130877, 5, 0x6428a8fa2c8c26f5ull, 0, 0},
-      {2048, 0x3fc53fa965f42726ull, 130877, 5, 0x5f5b4934b24c43f9ull, 0, 0},
-      {3072, 0x3fc580a92e63ad11ull, 130877, 5, 0x71db469041070ae8ull, 0, 0},
+      {0, 0x3fc52050eedf96b1ull, 130877, 5, 0xa73d6e78cd4df975ull, 0, 0,
+       0xc538a4b86bf2ec69ull},
+      {1026, 0x3fc6d3563af74c07ull, 130877, 5, 0x6428a8fa2c8c26f5ull, 0, 0,
+       0x32c92f3e37caedb0ull},
+      {2048, 0x3fc53fa965f42726ull, 130877, 5, 0x5f5b4934b24c43f9ull, 0, 0,
+       0xfe4042efd7de21ccull},
+      {3072, 0x3fc580a92e63ad11ull, 130877, 5, 0x71db469041070ae8ull, 0, 0,
+       0x44c0e86c6e2dc1dcull},
   };
   expect_fingerprints("multi-gpu", g, pinned, config, /*with_comm=*/true);
 }
@@ -156,13 +170,13 @@ TEST(ModelFingerprint, ConnectedComponentsOnTwitterSixtyFourth) {
   ASSERT_TRUE(g.directed());
   const Fingerprint pinned[] = {
       {0, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
-       38121},
+       38121, 0},
       {1024, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
-       38121},
+       38121, 0},
       {2048, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
-       38121},
+       38121, 0},
       {3072, 0x3fc2fb00a4c6a027ull, 173907, 3, 0xf186305f4b78e24cull, 199120,
-       38121},
+       38121, 0},
   };
   expect_fingerprints("enterprise/cc", g, pinned, {}, /*with_comm=*/true);
 }

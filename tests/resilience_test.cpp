@@ -12,6 +12,7 @@
 #include "bfs/runner.hpp"
 #include "bfs/validate.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 #include "gpusim/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -307,6 +308,32 @@ TEST(ResilientEngine, TransientFaultRetriesAndValidates) {
   }
   EXPECT_TRUE(saw_fault);
   EXPECT_TRUE(saw_recovery);
+}
+
+// On a road grid every level runs top-down. The fault strikes the level's
+// expansion launch, after the host has already marked that level's
+// discoveries, so the replay must still build the same queues: the
+// recovered tree equals a clean run's, parent for parent.
+TEST(ResilientEngine, FaultAfterTopDownExpansionReplaysTheCleanTree) {
+  graph::SuiteOptions opt;
+  opt.scale = 1.0 / 16;
+  opt.seed = 11;
+  const Csr g = graph::make_suite_graph("ROAD", opt).graph;
+  const bfs::BfsResult clean = bfs::make_engine("enterprise", g, {})->run(0);
+
+  const auto plan = sim::FaultPlan::parse("transient@level=5");
+  ASSERT_TRUE(plan.has_value());
+  sim::FaultInjector injector(*plan);
+  bfs::EngineConfig config;
+  config.fault_injector = &injector;
+  const auto engine = bfs::make_engine("resilient:enterprise", g, config);
+  const bfs::BfsResult r = engine->run(0);
+  EXPECT_EQ(r.faults_survived, 1);
+  EXPECT_EQ(r.levels, clean.levels);
+  EXPECT_EQ(r.parents, clean.parents);
+  // A second source on the same engine starts from clean state too.
+  EXPECT_EQ(engine->run(1).parents,
+            bfs::make_engine("enterprise", g, {})->run(1).parents);
 }
 
 TEST(ResilientEngine, MidRunDeviceLossBlacklistsAndRepartitions) {

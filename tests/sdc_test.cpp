@@ -2,11 +2,12 @@
 // digests, the per-level audits inside the enterprise and multi-GPU
 // drivers, the detection-coverage sweep the subsystem is accountable to
 // (>=99% of injected single-bit flips across status/frontier/adjacency
-// detected before a report is emitted, `missed` as ground truth), the
-// zero-overhead contract with everything off, and recovery through
-// resilient:enterprise.
+// detected before a report is emitted, `missed` as ground truth), a status
+// flip that must reach the top-down queue, the zero-overhead contract with
+// everything off, and recovery through resilient:enterprise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "graph/builder.hpp"
 #include "graph/digest.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 #include "gpusim/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -223,6 +225,42 @@ TEST(MissedCounter, AuditsOffMeansEveryFlipIsMissed) {
   EXPECT_EQ(out.injected, 1u);
   EXPECT_EQ(out.detections, 0u);
   EXPECT_EQ(out.missed, 1u);
+}
+
+// --- a status flip reaches the top-down queue -------------------------------
+
+// The top-down queue is harvested from the expansion's discoveries, and a
+// flipped status byte is no discovery. With flip rules armed the driver
+// keeps the full status scan, so the flip reaches the queue the way the
+// device's scan would see it. CI's control flip writes a level no scan ever
+// matches, so only this case covers it.
+TEST(StatusFlip, FlipToALaterLevelJoinsThatLevelsQueue) {
+  graph::SuiteOptions opt;
+  opt.scale = 1.0 / 16;
+  opt.seed = 3;
+  const Csr g = graph::make_suite_graph("ROAD", opt).graph;
+  const bfs::BfsResult clean = bfs::make_engine("enterprise", g, {})->run(0);
+  const auto first = std::find(clean.levels.begin(), clean.levels.end(), 1);
+  ASSERT_NE(first, clean.levels.end());
+  const auto v = static_cast<std::size_t>(first - clean.levels.begin());
+  ASSERT_GT(clean.level_trace.size(), 3u);
+
+  // Bit 1 of v's low status byte turns its level 1 into 3 at the level-2
+  // top, so level 3's queue gains v.
+  const auto plan = sim::FaultPlan::parse(
+      "flip@target=status,level=2,offset=" + std::to_string(4 * v) +
+      ",bit=1;seed=7");
+  ASSERT_TRUE(plan.has_value());
+  sim::FaultInjector injector(*plan);
+  bfs::EngineConfig config;
+  config.fault_injector = &injector;
+  config.integrity.audit = bfs::AuditMode::kOff;
+  const bfs::BfsResult flipped =
+      bfs::make_engine("enterprise", g, config)->run(0);
+  EXPECT_EQ(injector.flips_injected(), 1u);
+  ASSERT_GT(flipped.level_trace.size(), 3u);
+  EXPECT_EQ(flipped.level_trace[3].frontier_count,
+            clean.level_trace[3].frontier_count + 1);
 }
 
 // --- zero overhead when off ------------------------------------------------
