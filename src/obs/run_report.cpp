@@ -1,91 +1,511 @@
 #include "obs/run_report.hpp"
 
 #include <cmath>
-#include <initializer_list>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace ent::obs {
 
 namespace {
 
-Json percentiles_json(double min, double p50, double p95, double max) {
-  Json j = Json::object();
-  j.set("min", min);
-  j.set("p50", p50);
-  j.set("p95", p95);
-  j.set("max", max);
-  return j;
-}
+using enum Json::Type;
 
-Json counters_json(const sim::HardwareCounters& c) {
-  Json j = Json::object();
-  j.set("gld_transactions", c.gld_transactions);
-  j.set("gst_transactions", c.gst_transactions);
-  j.set("ldst_fu_utilization", c.ldst_fu_utilization);
-  j.set("stall_data_request", c.stall_data_request);
-  j.set("ipc", c.ipc);
-  j.set("power_w", c.power_w);
-  j.set("sm_occupancy", c.sm_occupancy);
-  j.set("dram_bandwidth_gbs", c.dram_bandwidth_gbs);
-  return j;
-}
+// How report_diff compares a field.
+enum class Diff {
+  kNone,    // not compared
+  kInfo,    // printed, never a regression
+  kHigher,  // higher is better, beyond the ratio tolerance
+  kLower,   // lower is better, beyond the ratio tolerance
+  // Lower is better, and a move off a zero baseline is a regression even
+  // though no ratio is computable (0 retries -> 3 retries is real news).
+  kOffZero,
+};
 
-sim::HardwareCounters counters_from_json(const Json& j) {
-  sim::HardwareCounters c;
-  c.gld_transactions = j.at("gld_transactions").as_uint();
-  c.gst_transactions = j.at("gst_transactions").as_uint();
-  c.ldst_fu_utilization = j.at("ldst_fu_utilization").as_number();
-  c.stall_data_request = j.at("stall_data_request").as_number();
-  c.ipc = j.at("ipc").as_number();
-  c.power_w = j.at("power_w").as_number();
-  c.sm_occupancy = j.at("sm_occupancy").as_number();
-  c.dram_bandwidth_gbs = j.at("dram_bandwidth_gbs").as_number();
-  return c;
-}
+// One JSON key of a report object: the member that holds it and how
+// report_diff compares it. An object's table is its one schema: to_json,
+// validate_report, from_json and diff_reports all walk it in table order,
+// which is the order of the keys in the JSON.
+template <typename T>
+struct Field {
+  const char* key;
+  std::variant<std::uint64_t T::*, std::uint32_t T::*, int T::*, double T::*,
+               bool T::*, std::string T::*>
+      member;
+  Diff diff = Diff::kNone;
+  // Strings only: omitted when empty and not required when reading.
+  bool optional = false;
+};
 
-Json level_json(const bfs::LevelTrace& t) {
-  Json j = Json::object();
-  j.set("level", t.level);
-  j.set("direction", bfs::to_string(t.direction));
-  j.set("frontier", static_cast<std::uint64_t>(t.frontier_count));
-  j.set("edges_inspected", static_cast<std::uint64_t>(t.edges_inspected));
-  j.set("queue_gen_ms", t.queue_gen_ms);
-  j.set("expand_ms", t.expand_ms);
-  j.set("comm_ms", t.comm_ms);
-  j.set("total_ms", t.total_ms);
-  j.set("gamma", t.gamma);
-  j.set("alpha", t.alpha);
-  Json kernels = Json::array();
-  for (const bfs::KernelTime& k : t.kernels) {
-    Json kj = Json::object();
-    kj.set("name", k.name);
-    kj.set("time_ms", k.time_ms);
-    kernels.push_back(std::move(kj));
+constexpr bool kOptional = true;
+
+// --- tables ------------------------------------------------------------------
+
+// Top-level keys before and after the graph object.
+constexpr Field<RunReport> kReportHead[] = {
+    {"system", &RunReport::system},
+    // Additive: BFS reports omit the key and stay byte-identical to the
+    // pre-program schema.
+    {"program", &RunReport::program, Diff::kNone, kOptional},
+    {"device", &RunReport::device},
+    {"options", &RunReport::options_summary},
+};
+constexpr Field<RunReport> kReportTail[] = {
+    {"seed", &RunReport::seed},
+    {"requested_sources", &RunReport::requested_sources},
+};
+
+// graph.vertices and graph.edges are diffed by hand with the summary rows.
+constexpr Field<GraphMeta> kGraph[] = {
+    {"name", &GraphMeta::name},
+    {"vertices", &GraphMeta::vertices},
+    {"edges", &GraphMeta::edges},
+    {"directed", &GraphMeta::directed},
+};
+
+using Summary = bfs::RunSummary;
+constexpr Field<Summary> kSummary[] = {
+    {"mean_teps", &Summary::mean_teps},
+    {"harmonic_teps", &Summary::harmonic_teps},
+    {"mean_time_ms", &Summary::mean_time_ms},
+    {"mean_depth", &Summary::mean_depth},
+};
+constexpr Field<Summary> kTimePercentiles[] = {
+    {"min", &Summary::min_time_ms},
+    {"p50", &Summary::p50_time_ms},
+    {"p95", &Summary::p95_time_ms},
+    {"max", &Summary::max_time_ms},
+};
+constexpr Field<Summary> kTepsPercentiles[] = {
+    {"min", &Summary::min_teps},
+    {"p50", &Summary::p50_teps},
+    {"p95", &Summary::p95_teps},
+    {"max", &Summary::max_teps},
+};
+
+// runs[]; the derived teps and the recovery fields follow by hand.
+using Run = bfs::BfsResult;
+constexpr Field<Run> kRun[] = {
+    {"source", &Run::source},
+    {"visited", &Run::vertices_visited},
+    {"depth", &Run::depth},
+    {"edges_traversed", &Run::edges_traversed},
+    {"time_ms", &Run::time_ms},
+};
+
+// levels[], split where the `direction` enum sits.
+using Level = bfs::LevelTrace;
+constexpr Field<Level> kLevelHead[] = {
+    {"level", &Level::level},
+};
+constexpr Field<Level> kLevelTail[] = {
+    {"frontier", &Level::frontier_count},
+    {"edges_inspected", &Level::edges_inspected},
+    {"queue_gen_ms", &Level::queue_gen_ms},
+    {"expand_ms", &Level::expand_ms},
+    {"comm_ms", &Level::comm_ms},
+    {"total_ms", &Level::total_ms},
+    {"gamma", &Level::gamma},
+    {"alpha", &Level::alpha},
+};
+constexpr Field<bfs::KernelTime> kKernel[] = {
+    {"name", &bfs::KernelTime::name},
+    {"time_ms", &bfs::KernelTime::time_ms},
+};
+
+using Counters = sim::HardwareCounters;
+constexpr Field<Counters> kCounters[] = {
+    {"gld_transactions", &Counters::gld_transactions},
+    {"gst_transactions", &Counters::gst_transactions},
+    {"ldst_fu_utilization", &Counters::ldst_fu_utilization},
+    {"stall_data_request", &Counters::stall_data_request},
+    {"ipc", &Counters::ipc},
+    {"power_w", &Counters::power_w},
+    {"sm_occupancy", &Counters::sm_occupancy},
+    {"dram_bandwidth_gbs", &Counters::dram_bandwidth_gbs},
+};
+
+// Resilience counters are lower-is-better with the off-zero rule; injected
+// faults are an input, not an outcome (info row).
+using RS = ResilienceSection;
+constexpr Field<RS> kResilience[] = {
+    {"fault_plan", &RS::fault_plan, Diff::kNone, kOptional},
+    {"faults_injected", &RS::faults_injected, Diff::kInfo},
+    {"retries", &RS::retries, Diff::kOffZero},
+    {"replays", &RS::replays, Diff::kOffZero},
+    {"fallbacks", &RS::fallbacks, Diff::kOffZero},
+    {"devices_blacklisted", &RS::devices_blacklisted, Diff::kOffZero},
+    {"repartitions", &RS::repartitions, Diff::kOffZero},
+    {"degraded_runs", &RS::degraded_runs, Diff::kOffZero},
+    {"validation_failures", &RS::validation_failures, Diff::kOffZero},
+    {"backoff_ms", &RS::backoff_ms, Diff::kOffZero},
+};
+
+// Guard counters follow the resilience rule; the admitted working set is
+// an input-level property (info row).
+using GS = GuardSection;
+constexpr Field<GS> kGuards[] = {
+    {"limits", &GS::limits, Diff::kNone, kOptional},
+    {"trips", &GS::trips, Diff::kOffZero},
+    {"degrade_steps", &GS::degrade_steps, Diff::kOffZero},
+    {"degraded_runs", &GS::degraded_runs, Diff::kOffZero},
+    {"admitted_bytes", &GS::admitted_bytes, Diff::kInfo},
+    {"budget_bytes", &GS::budget_bytes},
+    {"degraded", &GS::degraded},
+    {"degradation", &GS::degradation, Diff::kNone, kOptional},
+    {"last_trip", &GS::last_trip, Diff::kNone, kOptional},
+};
+
+// Integrity: injected flips are an input (info row), as is the detection
+// total; everything the checks caught or missed is an outcome.
+// `flips_missed` moving off a zero baseline is THE silent-data-corruption
+// regression — corruption escaped every scrub, audit, checksum, and canary.
+using IS = IntegritySection;
+constexpr Field<IS> kIntegrity[] = {
+    {"audit_mode", &IS::audit_mode},
+    {"scrub_interval", &IS::scrub_interval},
+    {"flips_injected", &IS::flips_injected, Diff::kInfo},
+    {"flips_detected", &IS::flips_detected},
+    {"flips_missed", &IS::flips_missed, Diff::kOffZero},
+    {"detections", &IS::detections, Diff::kInfo},
+    {"scrub_passes", &IS::scrub_passes},
+    {"scrub_mismatches", &IS::scrub_mismatches, Diff::kOffZero},
+    {"audit_checks", &IS::audit_checks},
+    {"audit_failures", &IS::audit_failures, Diff::kOffZero},
+    {"checkpoint_failures", &IS::checkpoint_failures, Diff::kOffZero},
+    {"canaries_run", &IS::canaries_run},
+    {"canaries_failed", &IS::canaries_failed, Diff::kOffZero},
+    {"quarantines", &IS::quarantines, Diff::kOffZero},
+};
+
+// Cluster rows: injected link faults are an input (info row), as is the
+// carried communication volume (it tracks the topology choice, not the
+// fabric's behaviour). Every ladder rung — retries, reroutes, detours,
+// ring fallbacks, partitions — follows the off-zero rule, and
+// communication time is a lower-is-better outcome.
+using CS = ClusterSection;
+constexpr Field<CS> kCluster[] = {
+    {"topology", &CS::topology},
+    {"parties", &CS::parties},
+    {"links_total", &CS::links_total},
+    {"links_failed", &CS::links_failed, Diff::kOffZero},
+    {"links_degraded", &CS::links_degraded},
+    {"collectives", &CS::collectives},
+    {"comm_volume_bytes", &CS::comm_volume_bytes, Diff::kInfo},
+    {"comm_time_ms", &CS::comm_time_ms, Diff::kLower},
+    {"link_faults", &CS::link_faults, Diff::kInfo},
+    {"comm_retries", &CS::comm_retries, Diff::kOffZero},
+    {"reroutes", &CS::reroutes, Diff::kOffZero},
+    {"detour_ms", &CS::detour_ms, Diff::kOffZero},
+    {"degraded_rings", &CS::degraded_rings, Diff::kOffZero},
+    {"partitions", &CS::partitions, Diff::kOffZero},
+};
+
+// Fail-slow rows: injected slowness and detector activity are inputs (info
+// rows); every escalation the ladder took past speculation — lost bets,
+// wasted work, rebalances, demotions — follows the off-zero rule.
+using FS = FailSlowSection;
+constexpr Field<FS> kFailSlow[] = {
+    {"detector", &FS::detector},
+    {"k", &FS::k},
+    {"slow_faults", &FS::slow_faults, Diff::kInfo},
+    {"slow_applications", &FS::slow_applications},
+    {"slow_ms_injected", &FS::slow_ms_injected, Diff::kInfo},
+    {"detections", &FS::detections, Diff::kInfo},
+    {"speculations", &FS::speculations, Diff::kInfo},
+    {"speculations_won", &FS::speculations_won, Diff::kHigher},
+    {"speculations_lost", &FS::speculations_lost, Diff::kOffZero},
+    {"wasted_speculation_ms", &FS::wasted_speculation_ms, Diff::kOffZero},
+    {"rebalances", &FS::rebalances, Diff::kOffZero},
+    {"vertices_moved", &FS::vertices_moved, Diff::kInfo},
+    {"demotions", &FS::demotions, Diff::kOffZero},
+};
+
+// Service rows: typed failures and recycles follow the off-zero rule;
+// latency percentiles are lower-is-better with the ratio tolerance;
+// throughput/accounting rows are informational because they track the
+// offered load, not the service's behaviour. The head and tail sit either
+// side of the per-lane objects.
+using SS = ServiceSection;
+constexpr Field<SS> kServiceHead[] = {
+    {"engine", &SS::engine, Diff::kNone, kOptional},
+    {"arrivals", &SS::arrivals, Diff::kNone, kOptional},
+    {"workers", &SS::workers},
+    {"submitted", &SS::submitted, Diff::kInfo},
+    {"admitted", &SS::admitted, Diff::kInfo},
+    {"rejected", &SS::rejected, Diff::kInfo},
+    {"rejected_queue_full", &SS::rejected_queue_full},
+    {"rejected_shed", &SS::rejected_shed},
+    {"rejected_draining", &SS::rejected_draining},
+};
+constexpr Field<SS> kServiceTail[] = {
+    {"completed", &SS::completed, Diff::kInfo},
+    {"timed_out", &SS::timed_out, Diff::kOffZero},
+    {"failed", &SS::failed, Diff::kOffZero},
+    {"cancelled", &SS::cancelled, Diff::kOffZero},
+    {"validation_failures", &SS::validation_failures, Diff::kOffZero},
+    {"workers_recycled", &SS::workers_recycled, Diff::kOffZero},
+    {"max_queue_depth", &SS::max_queue_depth, Diff::kInfo},
+    {"queue_wait_p50_ms", &SS::queue_wait_p50_ms},
+    {"queue_wait_p95_ms", &SS::queue_wait_p95_ms, Diff::kLower},
+    {"queue_wait_p99_ms", &SS::queue_wait_p99_ms},
+    {"e2e_p50_ms", &SS::e2e_p50_ms},
+    {"e2e_p95_ms", &SS::e2e_p95_ms, Diff::kLower},
+    {"e2e_p99_ms", &SS::e2e_p99_ms, Diff::kLower},
+};
+
+// Per-lane rejection rows. Backpressure reasons (queue_full / shed /
+// draining) track the offered load and the configured capacities, so they
+// stay informational; `infeasible_deadline` moving off a zero baseline
+// means the overload controller started predicting misses where the
+// baseline had none — the regression signal the per-lane split exists for.
+using Lane = ServiceLaneRejections;
+constexpr Field<Lane> kLane[] = {
+    {"queue_full", &Lane::queue_full, Diff::kInfo},
+    {"shed", &Lane::shed, Diff::kInfo},
+    {"draining", &Lane::draining, Diff::kInfo},
+    {"infeasible_deadline", &Lane::infeasible_deadline, Diff::kOffZero},
+};
+constexpr std::pair<const char*, Lane SS::*> kLanes[] = {
+    {"rejected_interactive", &SS::rejected_interactive},
+    {"rejected_batch", &SS::rejected_batch},
+};
+
+// Live-snapshot rows: promotions track the offered update load (info); a
+// rejection moving off a zero baseline means candidates started failing
+// verification; drain latency is a lower-is-better tail.
+constexpr Field<SS> kSnapshots[] = {
+    {"snapshots_built", &SS::snapshots_built},
+    {"snapshots_promoted", &SS::snapshots_promoted, Diff::kInfo},
+    {"snapshots_rejected", &SS::snapshots_rejected, Diff::kOffZero},
+    {"snapshot_drain_p95_ms", &SS::snapshot_drain_p95_ms, Diff::kLower},
+};
+using Generation = ServiceGenerationEntry;
+constexpr Field<Generation> kGeneration[] = {
+    {"generation", &Generation::generation},
+    {"started", &Generation::started},
+    {"finished", &Generation::finished},
+    {"drain_ms", &Generation::drain_ms},
+    {"retired", &Generation::retired},
+};
+
+// The `overload` object's keys, held in the flat overload_* members.
+constexpr Field<SS> kOverload[] = {
+    {"limit", &SS::overload_limit},
+    {"limit_increases", &SS::overload_limit_increases},
+    {"limit_backoffs", &SS::overload_limit_backoffs},
+    {"wait_p95_ms", &SS::overload_wait_p95_ms},
+    {"setpoint_ms", &SS::overload_setpoint_ms},
+    {"brownout_level", &SS::overload_brownout_level},
+    {"brownout_max_level", &SS::overload_brownout_max_level},
+    {"brownout_steps_down", &SS::overload_brownout_steps_down},
+    {"brownout_steps_up", &SS::overload_brownout_steps_up},
+    {"rejected_infeasible", &SS::overload_rejected_infeasible},
+    {"expired_in_queue", &SS::overload_expired_in_queue},
+    {"cancelled_infeasible", &SS::overload_cancelled_infeasible},
+};
+
+using Worker = ServiceWorkerEntry;
+constexpr Field<Worker> kWorker[] = {
+    {"worker", &Worker::worker},
+    {"requests", &Worker::requests},
+    {"completed", &Worker::completed},
+    {"timed_out", &Worker::timed_out},
+    {"failed", &Worker::failed},
+    {"cancelled", &Worker::cancelled},
+    {"faults_injected", &Worker::faults_injected},
+    {"retries", &Worker::retries},
+    {"fallbacks", &Worker::fallbacks},
+    {"recycles", &Worker::recycles},
+};
+
+// --- walkers -----------------------------------------------------------------
+
+template <typename T, std::size_t N>
+using Fields = Field<T>[N];
+
+template <typename T, std::size_t N>
+void write_fields(Json& j, const T& obj, const Fields<T, N>& fields) {
+  for (const Field<T>& f : fields) {
+    std::visit(
+        [&]<typename V>(V T::*member) {
+          const V& v = obj.*member;
+          if constexpr (std::is_same_v<V, std::string>) {
+            if (!f.optional || !v.empty()) j.set(f.key, v);
+          } else if constexpr (std::is_same_v<V, std::uint32_t>) {
+            j.set(f.key, static_cast<std::uint64_t>(v));
+          } else {
+            j.set(f.key, v);
+          }
+        },
+        f.member);
   }
-  j.set("kernels", std::move(kernels));
+}
+
+template <typename T, std::size_t N>
+Json object_json(const T& obj, const Fields<T, N>& fields) {
+  Json j = Json::object();
+  write_fields(j, obj, fields);
   return j;
 }
 
-bfs::LevelTrace level_from_json(const Json& j) {
-  bfs::LevelTrace t;
-  t.level = static_cast<int>(j.at("level").as_number());
-  t.direction = j.at("direction").as_string() == "bottom-up"
-                    ? bfs::Direction::kBottomUp
-                    : bfs::Direction::kTopDown;
-  t.frontier_count = static_cast<graph::vertex_t>(j.at("frontier").as_uint());
-  t.edges_inspected =
-      static_cast<graph::edge_t>(j.at("edges_inspected").as_uint());
-  t.queue_gen_ms = j.at("queue_gen_ms").as_number();
-  t.expand_ms = j.at("expand_ms").as_number();
-  t.comm_ms = j.at("comm_ms").as_number();
-  t.total_ms = j.at("total_ms").as_number();
-  t.gamma = j.at("gamma").as_number();
-  t.alpha = j.at("alpha").as_number();
-  for (const Json& kj : j.at("kernels").items()) {
-    t.kernels.push_back(
-        {kj.at("name").as_string(), kj.at("time_ms").as_number()});
+template <typename T, std::size_t N>
+Json array_json(const std::vector<T>& items, const Fields<T, N>& fields) {
+  Json a = Json::array();
+  for (const T& item : items) a.push_back(object_json(item, fields));
+  return a;
+}
+
+// Reads a validated object; an absent optional string reads as "".
+template <typename T, std::size_t N>
+void read_fields(const Json& j, T& obj, const Fields<T, N>& fields) {
+  for (const Field<T>& f : fields) {
+    const Json& v = j.at(f.key);
+    std::visit(
+        [&]<typename V>(V T::*member) {
+          V& dst = obj.*member;
+          if constexpr (std::is_same_v<V, std::string>) {
+            dst = v.as_string();
+          } else if constexpr (std::is_same_v<V, bool>) {
+            dst = v.as_bool();
+          } else if constexpr (std::is_signed_v<V>) {  // int, double
+            dst = static_cast<V>(v.as_number());
+          } else {
+            dst = static_cast<V>(v.as_uint());
+          }
+        },
+        f.member);
   }
-  return t;
+}
+
+template <typename T, std::size_t N>
+std::vector<T> array_from_json(const Json& a, const Fields<T, N>& fields) {
+  std::vector<T> items;
+  for (const Json& j : a.items()) read_fields(j, items.emplace_back(), fields);
+  return items;
+}
+
+template <typename T, std::size_t N>
+void read_section(const Json& j, const char* key, std::optional<T>& section,
+                  const Fields<T, N>& fields) {
+  if (j.contains(key)) read_fields(j.at(key), section.emplace(), fields);
+}
+
+// Indexed by Json::Type.
+constexpr const char* kTypeNames[] = {"null",     "a bool",   "a number",
+                                      "a string", "an array", "an object"};
+
+// The JSON type a member serializes as.
+template <typename V>
+constexpr Json::Type kJsonType = std::is_same_v<V, std::string> ? kString
+                                 : std::is_same_v<V, bool>      ? kBool
+                                                                : kNumber;
+
+// Appends "<prefix><key> must be <type>" unless j[key] has that type; an
+// absent optional key passes. Returns whether the key is there and typed.
+bool check_key(std::vector<std::string>& errors, const Json& j,
+               const std::string& prefix, const char* key, Json::Type type,
+               bool optional = false) {
+  const Json* v = j.find(key);
+  if (v != nullptr && v->type() == type) return true;
+  if (v != nullptr || !optional) {
+    errors.push_back(prefix + key + " must be " +
+                     kTypeNames[static_cast<int>(type)]);
+  }
+  return false;
+}
+
+template <typename T, std::size_t N>
+void check_fields(std::vector<std::string>& errors, const Json& j,
+                  const std::string& prefix, const Fields<T, N>& fields) {
+  for (const Field<T>& f : fields) {
+    std::visit(
+        [&]<typename V>(V T::*) {
+          check_key(errors, j, prefix, f.key, kJsonType<V>, f.optional);
+        },
+        f.member);
+  }
+}
+
+template <typename T, std::size_t N>
+bool check_object(std::vector<std::string>& errors, const Json& j,
+                  const std::string& prefix, const char* key,
+                  const Fields<T, N>& fields, bool optional = false) {
+  if (!check_key(errors, j, prefix, key, kObject, optional)) return false;
+  check_fields(errors, j.at(key), prefix + key + ".", fields);
+  return true;
+}
+
+constexpr auto kNoExtraChecks = [](const Json&) {};
+
+// Checks an array of objects against `fields`, plus `extra` per entry;
+// stops at the first entry that is not an object.
+template <typename T, std::size_t N, typename Extra = decltype(kNoExtraChecks)>
+void check_array(std::vector<std::string>& errors, const Json& j,
+                 const std::string& prefix, const char* key,
+                 const Fields<T, N>& fields, Extra extra = kNoExtraChecks) {
+  if (!check_key(errors, j, prefix, key, kArray)) return;
+  const std::string path = prefix + key + "[]";
+  for (const Json& item : j.at(key).items()) {
+    if (!item.is_object()) {
+      errors.push_back(path + " entries must be objects");
+      break;
+    }
+    check_fields(errors, item, path + ".", fields);
+    extra(item);
+  }
+}
+
+ReportDelta make_delta(const std::string& metric, double baseline,
+                       double candidate, Diff diff, double tolerance) {
+  ReportDelta d{metric, baseline, candidate,
+                baseline != 0.0 ? candidate / baseline : 1.0};
+  if (baseline > 0.0 && std::isfinite(d.ratio)) {
+    if (diff == Diff::kHigher) {
+      d.regression = d.ratio < 1.0 - tolerance;
+    } else if (diff == Diff::kLower || diff == Diff::kOffZero) {
+      d.regression = d.ratio > 1.0 + tolerance;
+    }
+  }
+  // A zero baseline has no ratio; the off-zero rule flags the move anyway.
+  if (diff == Diff::kOffZero && baseline == 0.0 && candidate > 0.0) {
+    d.regression = true;
+  }
+  return d;
+}
+
+// The diff rows of one table. A null side means that report lacks the
+// section — typically an older baseline written before it existed. Then
+// the rows keep the section visible in the diff (renderers print n/a)
+// without ever counting as a regression, so old baselines stay diffable.
+// The both-present and n/a paths walk the same table, so they cannot
+// drift apart.
+template <typename T, std::size_t N>
+void diff_fields(std::vector<ReportDelta>& deltas, const std::string& prefix,
+                 const T* baseline, const T* candidate,
+                 const Fields<T, N>& fields, double tolerance) {
+  if (baseline == nullptr && candidate == nullptr) return;
+  for (const Field<T>& f : fields) {
+    if (f.diff == Diff::kNone) continue;
+    ReportDelta d{prefix + f.key};
+    d.not_applicable = baseline == nullptr || candidate == nullptr;
+    std::visit(
+        [&]<typename V>(V T::*member) {
+          if constexpr (std::is_arithmetic_v<V>) {  // strings are not diffed
+            if (d.not_applicable) return;
+            d = make_delta(d.metric, static_cast<double>(baseline->*member),
+                           static_cast<double>(candidate->*member), f.diff,
+                           tolerance);
+          }
+        },
+        f.member);
+    deltas.push_back(std::move(d));
+  }
+}
+
+template <typename T>
+const T* opt_ptr(const std::optional<T>& section) {
+  return section ? &*section : nullptr;
 }
 
 }  // namespace
@@ -93,44 +513,20 @@ bfs::LevelTrace level_from_json(const Json& j) {
 Json RunReport::to_json() const {
   Json j = Json::object();
   j.set("schema_version", kReportSchemaVersion);
-  j.set("system", system);
-  // Additive: BFS reports omit the key and stay byte-identical to the
-  // pre-program schema.
-  if (!program.empty()) j.set("program", program);
-  j.set("device", device);
-  j.set("options", options_summary);
-
-  Json gj = Json::object();
-  gj.set("name", graph.name);
-  gj.set("vertices", graph.vertices);
-  gj.set("edges", graph.edges);
-  gj.set("directed", graph.directed);
-  j.set("graph", std::move(gj));
-
-  j.set("seed", seed);
-  j.set("requested_sources", static_cast<std::uint64_t>(requested_sources));
+  write_fields(j, *this, kReportHead);
+  j.set("graph", object_json(graph, kGraph));
+  write_fields(j, *this, kReportTail);
 
   Json sj = Json::object();
   sj.set("runs", static_cast<std::uint64_t>(summary.runs.size()));
-  sj.set("mean_teps", summary.mean_teps);
-  sj.set("harmonic_teps", summary.harmonic_teps);
-  sj.set("mean_time_ms", summary.mean_time_ms);
-  sj.set("mean_depth", summary.mean_depth);
-  sj.set("time_ms", percentiles_json(summary.min_time_ms, summary.p50_time_ms,
-                                     summary.p95_time_ms,
-                                     summary.max_time_ms));
-  sj.set("teps", percentiles_json(summary.min_teps, summary.p50_teps,
-                                  summary.p95_teps, summary.max_teps));
+  write_fields(sj, summary, kSummary);
+  sj.set("time_ms", object_json(summary, kTimePercentiles));
+  sj.set("teps", object_json(summary, kTepsPercentiles));
   j.set("summary", std::move(sj));
 
   Json runs = Json::array();
   for (const bfs::BfsResult& r : summary.runs) {
-    Json rj = Json::object();
-    rj.set("source", static_cast<std::uint64_t>(r.source));
-    rj.set("visited", static_cast<std::uint64_t>(r.vertices_visited));
-    rj.set("depth", r.depth);
-    rj.set("edges_traversed", static_cast<std::uint64_t>(r.edges_traversed));
-    rj.set("time_ms", r.time_ms);
+    Json rj = object_json(r, kRun);
     rj.set("teps", r.teps());
     // Resilience fields are additive and written only when the run saw
     // recovery activity, so fault-free reports are byte-identical to the
@@ -146,189 +542,46 @@ Json RunReport::to_json() const {
   j.set("runs", std::move(runs));
 
   Json lj = Json::array();
-  for (const bfs::LevelTrace& t : levels) lj.push_back(level_json(t));
+  for (const bfs::LevelTrace& t : levels) {
+    Json tj = object_json(t, kLevelHead);
+    tj.set("direction", bfs::to_string(t.direction));
+    write_fields(tj, t, kLevelTail);
+    tj.set("kernels", array_json(t.kernels, kKernel));
+    lj.push_back(std::move(tj));
+  }
   j.set("levels", std::move(lj));
 
   if (hardware_counters) {
-    j.set("hardware_counters", counters_json(*hardware_counters));
+    j.set("hardware_counters", object_json(*hardware_counters, kCounters));
   }
-  if (resilience) {
-    Json rj = Json::object();
-    if (!resilience->fault_plan.empty()) {
-      rj.set("fault_plan", resilience->fault_plan);
-    }
-    rj.set("faults_injected", resilience->faults_injected);
-    rj.set("retries", resilience->retries);
-    rj.set("replays", resilience->replays);
-    rj.set("fallbacks", resilience->fallbacks);
-    rj.set("devices_blacklisted", resilience->devices_blacklisted);
-    rj.set("repartitions", resilience->repartitions);
-    rj.set("degraded_runs", resilience->degraded_runs);
-    rj.set("validation_failures", resilience->validation_failures);
-    rj.set("backoff_ms", resilience->backoff_ms);
-    j.set("resilience", std::move(rj));
-  }
-  if (guards) {
-    Json guardj = Json::object();
-    if (!guards->limits.empty()) guardj.set("limits", guards->limits);
-    guardj.set("trips", guards->trips);
-    guardj.set("degrade_steps", guards->degrade_steps);
-    guardj.set("degraded_runs", guards->degraded_runs);
-    guardj.set("admitted_bytes", guards->admitted_bytes);
-    guardj.set("budget_bytes", guards->budget_bytes);
-    guardj.set("degraded", guards->degraded);
-    if (!guards->degradation.empty()) {
-      guardj.set("degradation", guards->degradation);
-    }
-    if (!guards->last_trip.empty()) {
-      guardj.set("last_trip", guards->last_trip);
-    }
-    j.set("guards", std::move(guardj));
-  }
-  if (integrity) {
-    Json ij = Json::object();
-    ij.set("audit_mode", integrity->audit_mode);
-    ij.set("scrub_interval", integrity->scrub_interval);
-    ij.set("flips_injected", integrity->flips_injected);
-    ij.set("flips_detected", integrity->flips_detected);
-    ij.set("flips_missed", integrity->flips_missed);
-    ij.set("detections", integrity->detections);
-    ij.set("scrub_passes", integrity->scrub_passes);
-    ij.set("scrub_mismatches", integrity->scrub_mismatches);
-    ij.set("audit_checks", integrity->audit_checks);
-    ij.set("audit_failures", integrity->audit_failures);
-    ij.set("checkpoint_failures", integrity->checkpoint_failures);
-    ij.set("canaries_run", integrity->canaries_run);
-    ij.set("canaries_failed", integrity->canaries_failed);
-    ij.set("quarantines", integrity->quarantines);
-    j.set("integrity", std::move(ij));
-  }
-  if (cluster) {
-    Json cj = Json::object();
-    cj.set("topology", cluster->topology);
-    cj.set("parties", cluster->parties);
-    cj.set("links_total", cluster->links_total);
-    cj.set("links_failed", cluster->links_failed);
-    cj.set("links_degraded", cluster->links_degraded);
-    cj.set("collectives", cluster->collectives);
-    cj.set("comm_volume_bytes", cluster->comm_volume_bytes);
-    cj.set("comm_time_ms", cluster->comm_time_ms);
-    cj.set("link_faults", cluster->link_faults);
-    cj.set("comm_retries", cluster->comm_retries);
-    cj.set("reroutes", cluster->reroutes);
-    cj.set("detour_ms", cluster->detour_ms);
-    cj.set("degraded_rings", cluster->degraded_rings);
-    cj.set("partitions", cluster->partitions);
-    j.set("cluster", std::move(cj));
-  }
-  if (fail_slow) {
-    Json fj = Json::object();
-    fj.set("detector", fail_slow->detector);
-    fj.set("k", fail_slow->k);
-    fj.set("slow_faults", fail_slow->slow_faults);
-    fj.set("slow_applications", fail_slow->slow_applications);
-    fj.set("slow_ms_injected", fail_slow->slow_ms_injected);
-    fj.set("detections", fail_slow->detections);
-    fj.set("speculations", fail_slow->speculations);
-    fj.set("speculations_won", fail_slow->speculations_won);
-    fj.set("speculations_lost", fail_slow->speculations_lost);
-    fj.set("wasted_speculation_ms", fail_slow->wasted_speculation_ms);
-    fj.set("rebalances", fail_slow->rebalances);
-    fj.set("vertices_moved", fail_slow->vertices_moved);
-    fj.set("demotions", fail_slow->demotions);
-    j.set("fail_slow", std::move(fj));
-  }
+  if (resilience) j.set("resilience", object_json(*resilience, kResilience));
+  if (guards) j.set("guards", object_json(*guards, kGuards));
+  if (integrity) j.set("integrity", object_json(*integrity, kIntegrity));
+  if (cluster) j.set("cluster", object_json(*cluster, kCluster));
+  if (fail_slow) j.set("fail_slow", object_json(*fail_slow, kFailSlow));
   if (service) {
-    Json sv = Json::object();
-    if (!service->engine.empty()) sv.set("engine", service->engine);
-    if (!service->arrivals.empty()) sv.set("arrivals", service->arrivals);
-    sv.set("workers", service->workers);
-    sv.set("submitted", service->submitted);
-    sv.set("admitted", service->admitted);
-    sv.set("rejected", service->rejected);
-    sv.set("rejected_queue_full", service->rejected_queue_full);
-    sv.set("rejected_shed", service->rejected_shed);
-    sv.set("rejected_draining", service->rejected_draining);
-    if (service->rejected > 0) {
+    const ServiceSection& s = *service;
+    Json sv = object_json(s, kServiceHead);
+    if (s.rejected > 0) {
       // Per-lane split, gated like the snapshot keys below: rejection-free
       // runs serialize byte-identically to the pre-split schema.
-      const auto lane_json = [](const ServiceLaneRejections& lane) {
-        Json rj = Json::object();
-        rj.set("queue_full", lane.queue_full);
-        rj.set("shed", lane.shed);
-        rj.set("draining", lane.draining);
-        rj.set("infeasible_deadline", lane.infeasible_deadline);
-        return rj;
-      };
-      sv.set("rejected_interactive", lane_json(service->rejected_interactive));
-      sv.set("rejected_batch", lane_json(service->rejected_batch));
+      for (const auto& [key, lane] : kLanes) {
+        sv.set(key, object_json(s.*lane, kLane));
+      }
     }
-    sv.set("completed", service->completed);
-    sv.set("timed_out", service->timed_out);
-    sv.set("failed", service->failed);
-    sv.set("cancelled", service->cancelled);
-    sv.set("validation_failures", service->validation_failures);
-    sv.set("workers_recycled", service->workers_recycled);
-    sv.set("max_queue_depth", service->max_queue_depth);
-    sv.set("queue_wait_p50_ms", service->queue_wait_p50_ms);
-    sv.set("queue_wait_p95_ms", service->queue_wait_p95_ms);
-    sv.set("queue_wait_p99_ms", service->queue_wait_p99_ms);
-    sv.set("e2e_p50_ms", service->e2e_p50_ms);
-    sv.set("e2e_p95_ms", service->e2e_p95_ms);
-    sv.set("e2e_p99_ms", service->e2e_p99_ms);
-    if (service->snapshots_built > 0) {
+    write_fields(sv, s, kServiceTail);
+    if (s.snapshots_built > 0) {
       // Gated on snapshots_built so runs without an update trace serialize
       // byte-identically to the pre-snapshot schema.
-      sv.set("snapshots_built", service->snapshots_built);
-      sv.set("snapshots_promoted", service->snapshots_promoted);
-      sv.set("snapshots_rejected", service->snapshots_rejected);
-      sv.set("snapshot_drain_p95_ms", service->snapshot_drain_p95_ms);
-      Json per_generation = Json::array();
-      for (const ServiceGenerationEntry& g : service->per_generation) {
-        Json genj = Json::object();
-        genj.set("generation", g.generation);
-        genj.set("started", g.started);
-        genj.set("finished", g.finished);
-        genj.set("drain_ms", g.drain_ms);
-        genj.set("retired", g.retired);
-        per_generation.push_back(std::move(genj));
-      }
-      sv.set("per_generation", std::move(per_generation));
+      write_fields(sv, s, kSnapshots);
+      sv.set("per_generation", array_json(s.per_generation, kGeneration));
     }
-    if (service->overload_enabled) {
+    if (s.overload_enabled) {
       // Whole block gated on the overload controller being armed: disabled
       // services stay byte-identical to the pre-overload schema.
-      Json ov = Json::object();
-      ov.set("limit", service->overload_limit);
-      ov.set("limit_increases", service->overload_limit_increases);
-      ov.set("limit_backoffs", service->overload_limit_backoffs);
-      ov.set("wait_p95_ms", service->overload_wait_p95_ms);
-      ov.set("setpoint_ms", service->overload_setpoint_ms);
-      ov.set("brownout_level", service->overload_brownout_level);
-      ov.set("brownout_max_level", service->overload_brownout_max_level);
-      ov.set("brownout_steps_down", service->overload_brownout_steps_down);
-      ov.set("brownout_steps_up", service->overload_brownout_steps_up);
-      ov.set("rejected_infeasible", service->overload_rejected_infeasible);
-      ov.set("expired_in_queue", service->overload_expired_in_queue);
-      ov.set("cancelled_infeasible", service->overload_cancelled_infeasible);
-      sv.set("overload", std::move(ov));
+      sv.set("overload", object_json(s, kOverload));
     }
-    Json per_worker = Json::array();
-    for (const ServiceWorkerEntry& w : service->per_worker) {
-      Json wj = Json::object();
-      wj.set("worker", w.worker);
-      wj.set("requests", w.requests);
-      wj.set("completed", w.completed);
-      wj.set("timed_out", w.timed_out);
-      wj.set("failed", w.failed);
-      wj.set("cancelled", w.cancelled);
-      wj.set("faults_injected", w.faults_injected);
-      wj.set("retries", w.retries);
-      wj.set("fallbacks", w.fallbacks);
-      wj.set("recycles", w.recycles);
-      per_worker.push_back(std::move(wj));
-    }
-    sv.set("per_worker", std::move(per_worker));
+    sv.set("per_worker", array_json(s.per_worker, kWorker));
     j.set("service", std::move(sv));
   }
   if (!metrics.is_null()) j.set("metrics", metrics);
@@ -336,517 +589,125 @@ Json RunReport::to_json() const {
   return j;
 }
 
-namespace {
-
-void require(std::vector<std::string>& errors, bool ok,
-             const std::string& message) {
-  if (!ok) errors.push_back(message);
-}
-
-void check_percentiles(std::vector<std::string>& errors, const Json& j,
-                       const std::string& path) {
-  require(errors, j.is_object(), path + " must be an object");
-  if (!j.is_object()) return;
-  for (const char* key : {"min", "p50", "p95", "max"}) {
-    require(errors, j.at(key).is_number(),
-            path + "." + key + " must be a number");
-  }
-}
-
-}  // namespace
-
 std::vector<std::string> validate_report(const Json& j) {
   std::vector<std::string> errors;
   if (!j.is_object()) {
     errors.push_back("report must be a JSON object");
     return errors;
   }
-  require(errors,
-          j.at("schema_version").is_number() &&
-              static_cast<int>(j.at("schema_version").as_number()) ==
-                  kReportSchemaVersion,
-          "schema_version must be " + std::to_string(kReportSchemaVersion));
-  require(errors, j.at("system").is_string(), "system must be a string");
-  if (j.contains("program")) {
-    require(errors, j.at("program").is_string(), "program must be a string");
+  if (!j.at("schema_version").is_number() ||
+      static_cast<int>(j.at("schema_version").as_number()) !=
+          kReportSchemaVersion) {
+    errors.push_back("schema_version must be " +
+                     std::to_string(kReportSchemaVersion));
   }
-  require(errors, j.at("graph").is_object(), "graph must be an object");
-  if (j.at("graph").is_object()) {
-    const Json& g = j.at("graph");
-    require(errors, g.at("name").is_string(), "graph.name must be a string");
-    require(errors, g.at("vertices").is_number(),
-            "graph.vertices must be a number");
-    require(errors, g.at("edges").is_number(), "graph.edges must be a number");
-    require(errors, g.at("directed").is_bool(),
-            "graph.directed must be a bool");
-  }
-  require(errors, j.at("summary").is_object(), "summary must be an object");
-  if (j.at("summary").is_object()) {
+  check_fields(errors, j, "", kReportHead);
+  check_object(errors, j, "", "graph", kGraph);
+  check_fields(errors, j, "", kReportTail);
+  if (check_object(errors, j, "", "summary", kSummary)) {
     const Json& s = j.at("summary");
-    for (const char* key :
-         {"runs", "mean_teps", "harmonic_teps", "mean_time_ms", "mean_depth"}) {
-      require(errors, s.at(key).is_number(),
-              std::string("summary.") + key + " must be a number");
+    check_key(errors, s, "summary.", "runs", kNumber);
+    check_object(errors, s, "summary.", "time_ms", kTimePercentiles);
+    check_object(errors, s, "summary.", "teps", kTepsPercentiles);
+  }
+  check_array(errors, j, "", "runs", kRun, [&](const Json& r) {
+    // Recovery fields: present only for runs that saw recovery activity.
+    check_key(errors, r, "runs[].", "attempts", kNumber, kOptional);
+    check_key(errors, r, "runs[].", "faults_survived", kNumber, kOptional);
+    check_key(errors, r, "runs[].", "degraded", kBool, kOptional);
+    check_key(errors, r, "runs[].", "completed_by", kString, kOptional);
+  });
+  check_array(errors, j, "", "levels", kLevelHead, [&](const Json& l) {
+    check_key(errors, l, "levels[].", "direction", kString);
+    check_fields(errors, l, "levels[].", kLevelTail);
+    check_array(errors, l, "levels[].", "kernels", kKernel);
+  });
+  check_object(errors, j, "", "hardware_counters", kCounters, kOptional);
+  check_object(errors, j, "", "resilience", kResilience, kOptional);
+  check_object(errors, j, "", "guards", kGuards, kOptional);
+  check_object(errors, j, "", "integrity", kIntegrity, kOptional);
+  check_object(errors, j, "", "cluster", kCluster, kOptional);
+  check_object(errors, j, "", "fail_slow", kFailSlow, kOptional);
+  if (check_key(errors, j, "", "service", kObject, kOptional)) {
+    const Json& s = j.at("service");
+    check_fields(errors, s, "service.", kServiceHead);
+    // Per-lane rejection split: additive, present only for runs with
+    // rejections, and then both lanes with all four reasons.
+    for (const auto& [key, lane] : kLanes) {
+      check_object(errors, s, "service.", key, kLane, kOptional);
     }
-    check_percentiles(errors, s.at("time_ms"), "summary.time_ms");
-    check_percentiles(errors, s.at("teps"), "summary.teps");
-  }
-  require(errors, j.at("runs").is_array(), "runs must be an array");
-  if (j.at("runs").is_array()) {
-    for (const Json& r : j.at("runs").items()) {
-      require(errors, r.is_object(), "runs[] entries must be objects");
-      if (!r.is_object()) break;
-      for (const char* key :
-           {"source", "visited", "depth", "edges_traversed", "time_ms"}) {
-        require(errors, r.at(key).is_number(),
-                std::string("runs[].") + key + " must be a number");
-      }
+    check_fields(errors, s, "service.", kServiceTail);
+    // Overload block: additive, present only when the controller was
+    // armed, and then all-or-nothing.
+    check_object(errors, s, "service.", "overload", kOverload, kOptional);
+    // Snapshot keys are additive: present only for runs that ingested
+    // update batches, and then all-or-nothing.
+    if (s.contains("snapshots_built")) {
+      check_fields(errors, s, "service.", kSnapshots);
+      check_array(errors, s, "service.", "per_generation", kGeneration);
     }
+    check_array(errors, s, "service.", "per_worker", kWorker);
   }
-  require(errors, j.at("levels").is_array(), "levels must be an array");
-  if (j.at("levels").is_array()) {
-    for (const Json& l : j.at("levels").items()) {
-      require(errors, l.is_object(), "levels[] entries must be objects");
-      if (!l.is_object()) break;
-      require(errors, l.at("level").is_number(),
-              "levels[].level must be a number");
-      require(errors, l.at("direction").is_string(),
-              "levels[].direction must be a string");
-      require(errors, l.at("kernels").is_array(),
-              "levels[].kernels must be an array");
-    }
-  }
-  if (j.contains("hardware_counters")) {
-    require(errors, j.at("hardware_counters").is_object(),
-            "hardware_counters must be an object");
-  }
-  if (j.contains("resilience")) {
-    require(errors, j.at("resilience").is_object(),
-            "resilience must be an object");
-    if (j.at("resilience").is_object()) {
-      const Json& r = j.at("resilience");
-      if (r.contains("fault_plan")) {
-        require(errors, r.at("fault_plan").is_string(),
-                "resilience.fault_plan must be a string");
-      }
-      for (const char* key :
-           {"faults_injected", "retries", "replays", "fallbacks",
-            "devices_blacklisted", "repartitions", "degraded_runs",
-            "validation_failures", "backoff_ms"}) {
-        require(errors, r.at(key).is_number(),
-                std::string("resilience.") + key + " must be a number");
-      }
-    }
-  }
-  if (j.contains("guards")) {
-    require(errors, j.at("guards").is_object(), "guards must be an object");
-    if (j.at("guards").is_object()) {
-      const Json& g = j.at("guards");
-      for (const char* key : {"limits", "degradation", "last_trip"}) {
-        if (g.contains(key)) {
-          require(errors, g.at(key).is_string(),
-                  std::string("guards.") + key + " must be a string");
-        }
-      }
-      for (const char* key : {"trips", "degrade_steps", "degraded_runs",
-                              "admitted_bytes", "budget_bytes"}) {
-        require(errors, g.at(key).is_number(),
-                std::string("guards.") + key + " must be a number");
-      }
-      require(errors, g.at("degraded").is_bool(),
-              "guards.degraded must be a bool");
-    }
-  }
-  if (j.contains("integrity")) {
-    require(errors, j.at("integrity").is_object(),
-            "integrity must be an object");
-    if (j.at("integrity").is_object()) {
-      const Json& it = j.at("integrity");
-      require(errors, it.at("audit_mode").is_string(),
-              "integrity.audit_mode must be a string");
-      for (const char* key :
-           {"scrub_interval", "flips_injected", "flips_detected",
-            "flips_missed", "detections", "scrub_passes", "scrub_mismatches",
-            "audit_checks", "audit_failures", "checkpoint_failures",
-            "canaries_run", "canaries_failed", "quarantines"}) {
-        require(errors, it.at(key).is_number(),
-                std::string("integrity.") + key + " must be a number");
-      }
-    }
-  }
-  if (j.contains("cluster")) {
-    require(errors, j.at("cluster").is_object(), "cluster must be an object");
-    if (j.at("cluster").is_object()) {
-      const Json& c = j.at("cluster");
-      require(errors, c.at("topology").is_string(),
-              "cluster.topology must be a string");
-      for (const char* key :
-           {"parties", "links_total", "links_failed", "links_degraded",
-            "collectives", "comm_volume_bytes", "comm_time_ms", "link_faults",
-            "comm_retries", "reroutes", "detour_ms", "degraded_rings",
-            "partitions"}) {
-        require(errors, c.at(key).is_number(),
-                std::string("cluster.") + key + " must be a number");
-      }
-    }
-  }
-  if (j.contains("fail_slow")) {
-    require(errors, j.at("fail_slow").is_object(),
-            "fail_slow must be an object");
-    if (j.at("fail_slow").is_object()) {
-      const Json& f = j.at("fail_slow");
-      require(errors, f.at("detector").is_bool(),
-              "fail_slow.detector must be a bool");
-      for (const char* key :
-           {"k", "slow_faults", "slow_applications", "slow_ms_injected",
-            "detections", "speculations", "speculations_won",
-            "speculations_lost", "wasted_speculation_ms", "rebalances",
-            "vertices_moved", "demotions"}) {
-        require(errors, f.at(key).is_number(),
-                std::string("fail_slow.") + key + " must be a number");
-      }
-    }
-  }
-  if (j.contains("service")) {
-    require(errors, j.at("service").is_object(), "service must be an object");
-    if (j.at("service").is_object()) {
-      const Json& s = j.at("service");
-      for (const char* key : {"engine", "arrivals"}) {
-        if (s.contains(key)) {
-          require(errors, s.at(key).is_string(),
-                  std::string("service.") + key + " must be a string");
-        }
-      }
-      for (const char* key :
-           {"workers", "submitted", "admitted", "rejected",
-            "rejected_queue_full", "rejected_shed", "rejected_draining",
-            "completed", "timed_out", "failed", "cancelled",
-            "validation_failures", "workers_recycled", "max_queue_depth",
-            "queue_wait_p50_ms", "queue_wait_p95_ms", "queue_wait_p99_ms",
-            "e2e_p50_ms", "e2e_p95_ms", "e2e_p99_ms"}) {
-        require(errors, s.at(key).is_number(),
-                std::string("service.") + key + " must be a number");
-      }
-      // Per-lane rejection split: additive, present only for runs with
-      // rejections, and then both lanes with all four reasons.
-      for (const char* lane : {"rejected_interactive", "rejected_batch"}) {
-        if (!s.contains(lane)) continue;
-        require(errors, s.at(lane).is_object(),
-                std::string("service.") + lane + " must be an object");
-        if (!s.at(lane).is_object()) continue;
-        for (const char* key :
-             {"queue_full", "shed", "draining", "infeasible_deadline"}) {
-          require(errors, s.at(lane).at(key).is_number(),
-                  std::string("service.") + lane + "." + key +
-                      " must be a number");
-        }
-      }
-      // Overload block: additive, present only when the controller was
-      // armed, and then all-or-nothing.
-      if (s.contains("overload")) {
-        require(errors, s.at("overload").is_object(),
-                "service.overload must be an object");
-        if (s.at("overload").is_object()) {
-          for (const char* key :
-               {"limit", "limit_increases", "limit_backoffs", "wait_p95_ms",
-                "setpoint_ms", "brownout_level", "brownout_max_level",
-                "brownout_steps_down", "brownout_steps_up",
-                "rejected_infeasible", "expired_in_queue",
-                "cancelled_infeasible"}) {
-            require(errors, s.at("overload").at(key).is_number(),
-                    std::string("service.overload.") + key +
-                        " must be a number");
-          }
-        }
-      }
-      // Snapshot keys are additive: present only for runs that ingested
-      // update batches, and then all-or-nothing.
-      if (s.contains("snapshots_built")) {
-        for (const char* key :
-             {"snapshots_built", "snapshots_promoted", "snapshots_rejected",
-              "snapshot_drain_p95_ms"}) {
-          require(errors, s.at(key).is_number(),
-                  std::string("service.") + key + " must be a number");
-        }
-        require(errors, s.at("per_generation").is_array(),
-                "service.per_generation must be an array");
-        if (s.at("per_generation").is_array()) {
-          for (const Json& g : s.at("per_generation").items()) {
-            require(errors, g.is_object(),
-                    "service.per_generation[] entries must be objects");
-            if (!g.is_object()) break;
-            for (const char* key :
-                 {"generation", "started", "finished", "drain_ms"}) {
-              require(errors, g.at(key).is_number(),
-                      std::string("service.per_generation[].") + key +
-                          " must be a number");
-            }
-            require(errors, g.at("retired").is_bool(),
-                    "service.per_generation[].retired must be a bool");
-          }
-        }
-      }
-      require(errors, s.at("per_worker").is_array(),
-              "service.per_worker must be an array");
-      if (s.at("per_worker").is_array()) {
-        for (const Json& w : s.at("per_worker").items()) {
-          require(errors, w.is_object(),
-                  "service.per_worker[] entries must be objects");
-          if (!w.is_object()) break;
-          for (const char* key :
-               {"worker", "requests", "completed", "timed_out", "failed",
-                "cancelled", "faults_injected", "retries", "fallbacks",
-                "recycles"}) {
-            require(errors, w.at(key).is_number(),
-                    std::string("service.per_worker[].") + key +
-                        " must be a number");
-          }
-        }
-      }
-    }
-  }
-  if (j.contains("metrics")) {
-    require(errors, j.at("metrics").is_object(),
-            "metrics must be an object");
-  }
-  if (j.contains("events")) {
-    require(errors, j.at("events").is_array(), "events must be an array");
-  }
+  check_key(errors, j, "", "metrics", kObject, kOptional);
+  check_key(errors, j, "", "events", kArray, kOptional);
   return errors;
 }
 
 std::optional<RunReport> RunReport::from_json(const Json& j) {
   if (!validate_report(j).empty()) return std::nullopt;
   RunReport report;
-  report.system = j.at("system").as_string();
-  if (j.contains("program")) report.program = j.at("program").as_string();
-  report.device = j.at("device").as_string();
-  report.options_summary = j.at("options").as_string();
-  report.graph.name = j.at("graph").at("name").as_string();
-  report.graph.vertices = j.at("graph").at("vertices").as_uint();
-  report.graph.edges = j.at("graph").at("edges").as_uint();
-  report.graph.directed = j.at("graph").at("directed").as_bool();
-  report.seed = j.at("seed").as_uint();
-  report.requested_sources =
-      static_cast<unsigned>(j.at("requested_sources").as_uint());
+  read_fields(j, report, kReportHead);
+  read_fields(j.at("graph"), report.graph, kGraph);
+  read_fields(j, report, kReportTail);
 
   const Json& s = j.at("summary");
-  report.summary.mean_teps = s.at("mean_teps").as_number();
-  report.summary.harmonic_teps = s.at("harmonic_teps").as_number();
-  report.summary.mean_time_ms = s.at("mean_time_ms").as_number();
-  report.summary.mean_depth = s.at("mean_depth").as_number();
-  report.summary.min_time_ms = s.at("time_ms").at("min").as_number();
-  report.summary.p50_time_ms = s.at("time_ms").at("p50").as_number();
-  report.summary.p95_time_ms = s.at("time_ms").at("p95").as_number();
-  report.summary.max_time_ms = s.at("time_ms").at("max").as_number();
-  report.summary.min_teps = s.at("teps").at("min").as_number();
-  report.summary.p50_teps = s.at("teps").at("p50").as_number();
-  report.summary.p95_teps = s.at("teps").at("p95").as_number();
-  report.summary.max_teps = s.at("teps").at("max").as_number();
-
+  read_fields(s, report.summary, kSummary);
+  read_fields(s.at("time_ms"), report.summary, kTimePercentiles);
+  read_fields(s.at("teps"), report.summary, kTepsPercentiles);
   for (const Json& rj : j.at("runs").items()) {
-    bfs::BfsResult r;
-    r.source = static_cast<graph::vertex_t>(rj.at("source").as_uint());
-    r.vertices_visited =
-        static_cast<graph::vertex_t>(rj.at("visited").as_uint());
-    r.depth = static_cast<int>(rj.at("depth").as_number());
-    r.edges_traversed =
-        static_cast<graph::edge_t>(rj.at("edges_traversed").as_uint());
-    r.time_ms = rj.at("time_ms").as_number();
-    if (rj.contains("attempts")) {
-      r.attempts = static_cast<int>(rj.at("attempts").as_number());
-    }
-    if (rj.contains("faults_survived")) {
-      r.faults_survived =
-          static_cast<int>(rj.at("faults_survived").as_number());
-    }
-    if (rj.contains("degraded")) r.degraded = rj.at("degraded").as_bool();
-    if (rj.contains("completed_by")) {
-      r.completed_by = rj.at("completed_by").as_string();
-    }
-    report.summary.runs.push_back(std::move(r));
+    bfs::BfsResult& r = report.summary.runs.emplace_back();
+    read_fields(rj, r, kRun);
+    // Absent recovery fields read as a clean run's defaults.
+    r.attempts = static_cast<int>(rj.at("attempts").as_number(1.0));
+    r.faults_survived = static_cast<int>(rj.at("faults_survived").as_number());
+    r.degraded = rj.at("degraded").as_bool();
+    r.completed_by = rj.at("completed_by").as_string();
   }
   for (const Json& lj : j.at("levels").items()) {
-    report.levels.push_back(level_from_json(lj));
+    bfs::LevelTrace& t = report.levels.emplace_back();
+    read_fields(lj, t, kLevelHead);
+    t.direction = lj.at("direction").as_string() == "bottom-up"
+                      ? bfs::Direction::kBottomUp
+                      : bfs::Direction::kTopDown;
+    read_fields(lj, t, kLevelTail);
+    t.kernels = array_from_json(lj.at("kernels"), kKernel);
   }
-  if (j.contains("hardware_counters")) {
-    report.hardware_counters = counters_from_json(j.at("hardware_counters"));
-  }
-  if (j.contains("resilience")) {
-    const Json& r = j.at("resilience");
-    ResilienceSection rs;
-    if (r.contains("fault_plan")) rs.fault_plan = r.at("fault_plan").as_string();
-    rs.faults_injected = r.at("faults_injected").as_uint();
-    rs.retries = r.at("retries").as_uint();
-    rs.replays = r.at("replays").as_uint();
-    rs.fallbacks = r.at("fallbacks").as_uint();
-    rs.devices_blacklisted = r.at("devices_blacklisted").as_uint();
-    rs.repartitions = r.at("repartitions").as_uint();
-    rs.degraded_runs = r.at("degraded_runs").as_uint();
-    rs.validation_failures = r.at("validation_failures").as_uint();
-    rs.backoff_ms = r.at("backoff_ms").as_number();
-    report.resilience = rs;
-  }
-  if (j.contains("guards")) {
-    const Json& g = j.at("guards");
-    GuardSection gs;
-    if (g.contains("limits")) gs.limits = g.at("limits").as_string();
-    gs.trips = g.at("trips").as_uint();
-    gs.degrade_steps = g.at("degrade_steps").as_uint();
-    gs.degraded_runs = g.at("degraded_runs").as_uint();
-    gs.admitted_bytes = g.at("admitted_bytes").as_uint();
-    gs.budget_bytes = g.at("budget_bytes").as_uint();
-    gs.degraded = g.at("degraded").as_bool();
-    if (g.contains("degradation")) {
-      gs.degradation = g.at("degradation").as_string();
-    }
-    if (g.contains("last_trip")) gs.last_trip = g.at("last_trip").as_string();
-    report.guards = gs;
-  }
-  if (j.contains("integrity")) {
-    const Json& it = j.at("integrity");
-    IntegritySection is;
-    is.audit_mode = it.at("audit_mode").as_string();
-    is.scrub_interval = it.at("scrub_interval").as_uint();
-    is.flips_injected = it.at("flips_injected").as_uint();
-    is.flips_detected = it.at("flips_detected").as_uint();
-    is.flips_missed = it.at("flips_missed").as_uint();
-    is.detections = it.at("detections").as_uint();
-    is.scrub_passes = it.at("scrub_passes").as_uint();
-    is.scrub_mismatches = it.at("scrub_mismatches").as_uint();
-    is.audit_checks = it.at("audit_checks").as_uint();
-    is.audit_failures = it.at("audit_failures").as_uint();
-    is.checkpoint_failures = it.at("checkpoint_failures").as_uint();
-    is.canaries_run = it.at("canaries_run").as_uint();
-    is.canaries_failed = it.at("canaries_failed").as_uint();
-    is.quarantines = it.at("quarantines").as_uint();
-    report.integrity = is;
-  }
-  if (j.contains("cluster")) {
-    const Json& c = j.at("cluster");
-    ClusterSection cs;
-    cs.topology = c.at("topology").as_string();
-    cs.parties = c.at("parties").as_uint();
-    cs.links_total = c.at("links_total").as_uint();
-    cs.links_failed = c.at("links_failed").as_uint();
-    cs.links_degraded = c.at("links_degraded").as_uint();
-    cs.collectives = c.at("collectives").as_uint();
-    cs.comm_volume_bytes = c.at("comm_volume_bytes").as_uint();
-    cs.comm_time_ms = c.at("comm_time_ms").as_number();
-    cs.link_faults = c.at("link_faults").as_uint();
-    cs.comm_retries = c.at("comm_retries").as_uint();
-    cs.reroutes = c.at("reroutes").as_uint();
-    cs.detour_ms = c.at("detour_ms").as_number();
-    cs.degraded_rings = c.at("degraded_rings").as_uint();
-    cs.partitions = c.at("partitions").as_uint();
-    report.cluster = cs;
-  }
-  if (j.contains("fail_slow")) {
-    const Json& f = j.at("fail_slow");
-    FailSlowSection fs;
-    fs.detector = f.at("detector").as_bool();
-    fs.k = f.at("k").as_number();
-    fs.slow_faults = f.at("slow_faults").as_uint();
-    fs.slow_applications = f.at("slow_applications").as_uint();
-    fs.slow_ms_injected = f.at("slow_ms_injected").as_number();
-    fs.detections = f.at("detections").as_uint();
-    fs.speculations = f.at("speculations").as_uint();
-    fs.speculations_won = f.at("speculations_won").as_uint();
-    fs.speculations_lost = f.at("speculations_lost").as_uint();
-    fs.wasted_speculation_ms = f.at("wasted_speculation_ms").as_number();
-    fs.rebalances = f.at("rebalances").as_uint();
-    fs.vertices_moved = f.at("vertices_moved").as_uint();
-    fs.demotions = f.at("demotions").as_uint();
-    report.fail_slow = fs;
-  }
+
+  read_section(j, "hardware_counters", report.hardware_counters, kCounters);
+  read_section(j, "resilience", report.resilience, kResilience);
+  read_section(j, "guards", report.guards, kGuards);
+  read_section(j, "integrity", report.integrity, kIntegrity);
+  read_section(j, "cluster", report.cluster, kCluster);
+  read_section(j, "fail_slow", report.fail_slow, kFailSlow);
   if (j.contains("service")) {
     const Json& svj = j.at("service");
-    ServiceSection sv;
-    if (svj.contains("engine")) sv.engine = svj.at("engine").as_string();
-    if (svj.contains("arrivals")) sv.arrivals = svj.at("arrivals").as_string();
-    sv.workers = svj.at("workers").as_uint();
-    sv.submitted = svj.at("submitted").as_uint();
-    sv.admitted = svj.at("admitted").as_uint();
-    sv.rejected = svj.at("rejected").as_uint();
-    sv.rejected_queue_full = svj.at("rejected_queue_full").as_uint();
-    sv.rejected_shed = svj.at("rejected_shed").as_uint();
-    sv.rejected_draining = svj.at("rejected_draining").as_uint();
-    const auto parse_lane = [](const Json& lj) {
-      ServiceLaneRejections lane;
-      lane.queue_full = lj.at("queue_full").as_uint();
-      lane.shed = lj.at("shed").as_uint();
-      lane.draining = lj.at("draining").as_uint();
-      lane.infeasible_deadline = lj.at("infeasible_deadline").as_uint();
-      return lane;
-    };
-    if (svj.contains("rejected_interactive")) {
-      sv.rejected_interactive = parse_lane(svj.at("rejected_interactive"));
+    ServiceSection& sv = report.service.emplace();
+    read_fields(svj, sv, kServiceHead);
+    // An absent lane reads as all zeros.
+    for (const auto& [key, lane] : kLanes) {
+      read_fields(svj.at(key), sv.*lane, kLane);
     }
-    if (svj.contains("rejected_batch")) {
-      sv.rejected_batch = parse_lane(svj.at("rejected_batch"));
+    read_fields(svj, sv, kServiceTail);
+    if (svj.contains("snapshots_built")) {
+      read_fields(svj, sv, kSnapshots);
+      sv.per_generation =
+          array_from_json(svj.at("per_generation"), kGeneration);
     }
     if (svj.contains("overload")) {
-      const Json& ov = svj.at("overload");
       sv.overload_enabled = true;
-      sv.overload_limit = ov.at("limit").as_uint();
-      sv.overload_limit_increases = ov.at("limit_increases").as_uint();
-      sv.overload_limit_backoffs = ov.at("limit_backoffs").as_uint();
-      sv.overload_wait_p95_ms = ov.at("wait_p95_ms").as_number();
-      sv.overload_setpoint_ms = ov.at("setpoint_ms").as_number();
-      sv.overload_brownout_level = ov.at("brownout_level").as_uint();
-      sv.overload_brownout_max_level = ov.at("brownout_max_level").as_uint();
-      sv.overload_brownout_steps_down =
-          ov.at("brownout_steps_down").as_uint();
-      sv.overload_brownout_steps_up = ov.at("brownout_steps_up").as_uint();
-      sv.overload_rejected_infeasible =
-          ov.at("rejected_infeasible").as_uint();
-      sv.overload_expired_in_queue = ov.at("expired_in_queue").as_uint();
-      sv.overload_cancelled_infeasible =
-          ov.at("cancelled_infeasible").as_uint();
+      read_fields(svj.at("overload"), sv, kOverload);
     }
-    sv.completed = svj.at("completed").as_uint();
-    sv.timed_out = svj.at("timed_out").as_uint();
-    sv.failed = svj.at("failed").as_uint();
-    sv.cancelled = svj.at("cancelled").as_uint();
-    sv.validation_failures = svj.at("validation_failures").as_uint();
-    sv.workers_recycled = svj.at("workers_recycled").as_uint();
-    sv.max_queue_depth = svj.at("max_queue_depth").as_uint();
-    sv.queue_wait_p50_ms = svj.at("queue_wait_p50_ms").as_number();
-    sv.queue_wait_p95_ms = svj.at("queue_wait_p95_ms").as_number();
-    sv.queue_wait_p99_ms = svj.at("queue_wait_p99_ms").as_number();
-    sv.e2e_p50_ms = svj.at("e2e_p50_ms").as_number();
-    sv.e2e_p95_ms = svj.at("e2e_p95_ms").as_number();
-    sv.e2e_p99_ms = svj.at("e2e_p99_ms").as_number();
-    if (svj.contains("snapshots_built")) {
-      sv.snapshots_built = svj.at("snapshots_built").as_uint();
-      sv.snapshots_promoted = svj.at("snapshots_promoted").as_uint();
-      sv.snapshots_rejected = svj.at("snapshots_rejected").as_uint();
-      sv.snapshot_drain_p95_ms = svj.at("snapshot_drain_p95_ms").as_number();
-      for (const Json& gj : svj.at("per_generation").items()) {
-        ServiceGenerationEntry g;
-        g.generation = gj.at("generation").as_uint();
-        g.started = gj.at("started").as_uint();
-        g.finished = gj.at("finished").as_uint();
-        g.drain_ms = gj.at("drain_ms").as_number();
-        g.retired = gj.at("retired").as_bool();
-        sv.per_generation.push_back(g);
-      }
-    }
-    for (const Json& wj : svj.at("per_worker").items()) {
-      ServiceWorkerEntry w;
-      w.worker = wj.at("worker").as_uint();
-      w.requests = wj.at("requests").as_uint();
-      w.completed = wj.at("completed").as_uint();
-      w.timed_out = wj.at("timed_out").as_uint();
-      w.failed = wj.at("failed").as_uint();
-      w.cancelled = wj.at("cancelled").as_uint();
-      w.faults_injected = wj.at("faults_injected").as_uint();
-      w.retries = wj.at("retries").as_uint();
-      w.fallbacks = wj.at("fallbacks").as_uint();
-      w.recycles = wj.at("recycles").as_uint();
-      sv.per_worker.push_back(w);
-    }
-    report.service = std::move(sv);
+    sv.per_worker = array_from_json(svj.at("per_worker"), kWorker);
   }
   if (j.contains("metrics")) report.metrics = j.at("metrics");
   if (j.contains("events")) report.events = j.at("events");
@@ -859,387 +720,52 @@ std::optional<RunReport> RunReport::parse(const std::string& text) {
   return from_json(*j);
 }
 
-namespace {
-
-// direction: +1 = higher is better (TEPS), -1 = lower is better (time).
-ReportDelta make_delta(const std::string& metric, double baseline,
-                       double candidate, int direction, double tolerance) {
-  ReportDelta d;
-  d.metric = metric;
-  d.baseline = baseline;
-  d.candidate = candidate;
-  d.ratio = baseline != 0.0 ? candidate / baseline : 1.0;
-  if (baseline > 0.0 && std::isfinite(d.ratio)) {
-    if (direction > 0) {
-      d.regression = d.ratio < 1.0 - tolerance;
-    } else if (direction < 0) {
-      d.regression = d.ratio > 1.0 + tolerance;
-    }
-  }
-  return d;
-}
-
-// Resilience counters are lower-is-better, but unlike timing metrics a move
-// off zero matters: baseline 0 retries vs candidate 3 is a regression even
-// though no ratio is computable. make_delta alone never flags a zero
-// baseline, so that case is handled here.
-ReportDelta make_resilience_delta(const std::string& metric, double baseline,
-                                  double candidate, double tolerance) {
-  ReportDelta d = make_delta(metric, baseline, candidate, -1, tolerance);
-  if (baseline == 0.0 && candidate > 0.0) d.regression = true;
-  return d;
-}
-
-// One diffable metric of an optional report section: its name, improvement
-// direction, whether the resilience zero rule applies, and how to read it.
-// Each section's table below is THE single list of its diff rows — the
-// both-present and one-sided (n/a) paths walk the same table, so the two
-// can never drift apart (one used to print "n/a" for a different metric
-// set than the other compared).
-template <typename Section>
-struct SectionMetric {
-  const char* name;
-  // +1 higher-is-better, -1 lower-is-better, 0 informational.
-  int direction;
-  // Resilience rule: a move off a zero baseline is a regression even
-  // though no ratio is computable (0 retries -> 3 retries is real news).
-  bool zero_matters;
-  double (*value)(const Section&);
-};
-
-template <typename Section, std::size_t N>
-void diff_section(std::vector<ReportDelta>& deltas, const char* section,
-                  const std::optional<Section>& baseline,
-                  const std::optional<Section>& candidate, double tolerance,
-                  const SectionMetric<Section> (&metrics)[N]) {
-  if (baseline && candidate) {
-    for (const SectionMetric<Section>& m : metrics) {
-      const std::string name = std::string(section) + "." + m.name;
-      const double b = m.value(*baseline);
-      const double c = m.value(*candidate);
-      deltas.push_back(m.zero_matters
-                           ? make_resilience_delta(name, b, c, tolerance)
-                           : make_delta(name, b, c, m.direction, tolerance));
-    }
-  } else if (baseline.has_value() != candidate.has_value()) {
-    // Exactly one report carries the section — typically an older baseline
-    // written before it existed. The rows keep the section visible in the
-    // diff (renderers print n/a) without ever counting as a regression, so
-    // old baselines stay diffable.
-    for (const SectionMetric<Section>& m : metrics) {
-      ReportDelta d;
-      d.metric = std::string(section) + "." + m.name;
-      d.not_applicable = true;
-      deltas.push_back(std::move(d));
-    }
-  }
-}
-
-// Resilience counters are lower-is-better with the zero rule; injected
-// faults are an input, not an outcome (info row).
-constexpr SectionMetric<ResilienceSection> kResilienceDiff[] = {
-    {"faults_injected", 0, false,
-     [](const ResilienceSection& s) {
-       return static_cast<double>(s.faults_injected);
-     }},
-    {"retries", -1, true,
-     [](const ResilienceSection& s) { return static_cast<double>(s.retries); }},
-    {"replays", -1, true,
-     [](const ResilienceSection& s) { return static_cast<double>(s.replays); }},
-    {"fallbacks", -1, true,
-     [](const ResilienceSection& s) {
-       return static_cast<double>(s.fallbacks);
-     }},
-    {"devices_blacklisted", -1, true,
-     [](const ResilienceSection& s) {
-       return static_cast<double>(s.devices_blacklisted);
-     }},
-    {"degraded_runs", -1, true,
-     [](const ResilienceSection& s) {
-       return static_cast<double>(s.degraded_runs);
-     }},
-    {"validation_failures", -1, true,
-     [](const ResilienceSection& s) {
-       return static_cast<double>(s.validation_failures);
-     }},
-    {"backoff_ms", -1, true,
-     [](const ResilienceSection& s) { return s.backoff_ms; }},
-};
-
-// Guard counters follow the resilience rule; the admitted working set is an
-// input-level property (info row).
-constexpr SectionMetric<GuardSection> kGuardDiff[] = {
-    {"trips", -1, true,
-     [](const GuardSection& s) { return static_cast<double>(s.trips); }},
-    {"degrade_steps", -1, true,
-     [](const GuardSection& s) {
-       return static_cast<double>(s.degrade_steps);
-     }},
-    {"degraded_runs", -1, true,
-     [](const GuardSection& s) {
-       return static_cast<double>(s.degraded_runs);
-     }},
-    {"admitted_bytes", 0, false,
-     [](const GuardSection& s) {
-       return static_cast<double>(s.admitted_bytes);
-     }},
-};
-
-// Integrity: injected flips are an input (info row), as is the detection
-// total; everything the checks caught or missed is an outcome.
-// `flips_missed` moving off a zero baseline is THE silent-data-corruption
-// regression — corruption escaped every scrub, audit, checksum, and canary.
-constexpr SectionMetric<IntegritySection> kIntegrityDiff[] = {
-    {"flips_injected", 0, false,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.flips_injected);
-     }},
-    {"detections", 0, false,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.detections);
-     }},
-    {"flips_missed", -1, true,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.flips_missed);
-     }},
-    {"scrub_mismatches", -1, true,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.scrub_mismatches);
-     }},
-    {"audit_failures", -1, true,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.audit_failures);
-     }},
-    {"checkpoint_failures", -1, true,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.checkpoint_failures);
-     }},
-    {"canaries_failed", -1, true,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.canaries_failed);
-     }},
-    {"quarantines", -1, true,
-     [](const IntegritySection& s) {
-       return static_cast<double>(s.quarantines);
-     }},
-};
-
-// Cluster rows: injected link faults are an input (info row), as is the
-// carried communication volume (it tracks the topology choice, not the
-// fabric's behaviour). Every ladder rung — retries, reroutes, detours,
-// ring fallbacks, partitions — follows the resilience zero rule, and
-// communication time is a lower-is-better outcome.
-constexpr SectionMetric<ClusterSection> kClusterDiff[] = {
-    {"link_faults", 0, false,
-     [](const ClusterSection& s) {
-       return static_cast<double>(s.link_faults);
-     }},
-    {"comm_volume_bytes", 0, false,
-     [](const ClusterSection& s) {
-       return static_cast<double>(s.comm_volume_bytes);
-     }},
-    {"comm_time_ms", -1, false,
-     [](const ClusterSection& s) { return s.comm_time_ms; }},
-    {"comm_retries", -1, true,
-     [](const ClusterSection& s) {
-       return static_cast<double>(s.comm_retries);
-     }},
-    {"reroutes", -1, true,
-     [](const ClusterSection& s) { return static_cast<double>(s.reroutes); }},
-    {"detour_ms", -1, true,
-     [](const ClusterSection& s) { return s.detour_ms; }},
-    {"links_failed", -1, true,
-     [](const ClusterSection& s) {
-       return static_cast<double>(s.links_failed);
-     }},
-    {"degraded_rings", -1, true,
-     [](const ClusterSection& s) {
-       return static_cast<double>(s.degraded_rings);
-     }},
-    {"partitions", -1, true,
-     [](const ClusterSection& s) {
-       return static_cast<double>(s.partitions);
-     }},
-};
-
-// Fail-slow rows: injected slowness and detector activity are inputs (info
-// rows); every escalation the ladder took past speculation — lost bets,
-// wasted work, rebalances, demotions — follows the resilience zero rule.
-constexpr SectionMetric<FailSlowSection> kFailSlowDiff[] = {
-    {"slow_faults", 0, false,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.slow_faults);
-     }},
-    {"slow_ms_injected", 0, false,
-     [](const FailSlowSection& s) { return s.slow_ms_injected; }},
-    {"detections", 0, false,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.detections);
-     }},
-    {"speculations", 0, false,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.speculations);
-     }},
-    {"speculations_won", 1, false,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.speculations_won);
-     }},
-    {"speculations_lost", -1, true,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.speculations_lost);
-     }},
-    {"wasted_speculation_ms", -1, true,
-     [](const FailSlowSection& s) { return s.wasted_speculation_ms; }},
-    {"rebalances", -1, true,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.rebalances);
-     }},
-    {"vertices_moved", 0, false,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.vertices_moved);
-     }},
-    {"demotions", -1, true,
-     [](const FailSlowSection& s) {
-       return static_cast<double>(s.demotions);
-     }},
-};
-
-// Service rows: typed failures and recycles follow the resilience rule (a
-// move off zero is a regression); latency percentiles are lower-is-better
-// with the ratio tolerance; throughput/accounting rows are informational
-// because they track the offered load, not the service's behaviour.
-constexpr SectionMetric<ServiceSection> kServiceDiff[] = {
-    {"submitted", 0, false,
-     [](const ServiceSection& s) { return static_cast<double>(s.submitted); }},
-    {"admitted", 0, false,
-     [](const ServiceSection& s) { return static_cast<double>(s.admitted); }},
-    {"completed", 0, false,
-     [](const ServiceSection& s) { return static_cast<double>(s.completed); }},
-    {"rejected", 0, false,
-     [](const ServiceSection& s) { return static_cast<double>(s.rejected); }},
-    {"max_queue_depth", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.max_queue_depth);
-     }},
-    {"timed_out", -1, true,
-     [](const ServiceSection& s) { return static_cast<double>(s.timed_out); }},
-    {"failed", -1, true,
-     [](const ServiceSection& s) { return static_cast<double>(s.failed); }},
-    {"cancelled", -1, true,
-     [](const ServiceSection& s) { return static_cast<double>(s.cancelled); }},
-    {"validation_failures", -1, true,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.validation_failures);
-     }},
-    {"workers_recycled", -1, true,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.workers_recycled);
-     }},
-    {"queue_wait_p95_ms", -1, false,
-     [](const ServiceSection& s) { return s.queue_wait_p95_ms; }},
-    {"e2e_p95_ms", -1, false,
-     [](const ServiceSection& s) { return s.e2e_p95_ms; }},
-    {"e2e_p99_ms", -1, false,
-     [](const ServiceSection& s) { return s.e2e_p99_ms; }},
-    // Per-lane rejection rows. Backpressure reasons (queue_full / shed /
-    // draining) track the offered load and the configured capacities, so
-    // they stay informational; `infeasible_deadline` moving off a zero
-    // baseline means the overload controller started predicting misses
-    // where the baseline had none — the regression signal the per-lane
-    // split exists for.
-    {"rejected_interactive.queue_full", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_interactive.queue_full);
-     }},
-    {"rejected_interactive.shed", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_interactive.shed);
-     }},
-    {"rejected_interactive.draining", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_interactive.draining);
-     }},
-    {"rejected_interactive.infeasible_deadline", -1, true,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_interactive.infeasible_deadline);
-     }},
-    {"rejected_batch.queue_full", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_batch.queue_full);
-     }},
-    {"rejected_batch.shed", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_batch.shed);
-     }},
-    {"rejected_batch.draining", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_batch.draining);
-     }},
-    {"rejected_batch.infeasible_deadline", -1, true,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.rejected_batch.infeasible_deadline);
-     }},
-    // Live-snapshot rows: promotions track the offered update load (info);
-    // a rejection moving off a zero baseline means candidates started
-    // failing verification; drain latency is a lower-is-better tail.
-    {"snapshots_promoted", 0, false,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.snapshots_promoted);
-     }},
-    {"snapshots_rejected", -1, true,
-     [](const ServiceSection& s) {
-       return static_cast<double>(s.snapshots_rejected);
-     }},
-    {"snapshot_drain_p95_ms", -1, false,
-     [](const ServiceSection& s) { return s.snapshot_drain_p95_ms; }},
-};
-
-}  // namespace
-
 std::vector<ReportDelta> diff_reports(const RunReport& baseline,
                                       const RunReport& candidate,
                                       const ReportDiffOptions& options) {
   const double tol = options.tolerance;
   std::vector<ReportDelta> deltas;
-  deltas.push_back(make_delta("harmonic_teps", baseline.summary.harmonic_teps,
-                              candidate.summary.harmonic_teps, +1, tol));
-  deltas.push_back(make_delta("mean_teps", baseline.summary.mean_teps,
-                              candidate.summary.mean_teps, +1, tol));
-  deltas.push_back(make_delta("p50_teps", baseline.summary.p50_teps,
-                              candidate.summary.p50_teps, +1, tol));
-  deltas.push_back(make_delta("mean_time_ms", baseline.summary.mean_time_ms,
-                              candidate.summary.mean_time_ms, -1, tol));
-  deltas.push_back(make_delta("p95_time_ms", baseline.summary.p95_time_ms,
-                              candidate.summary.p95_time_ms, -1, tol));
+  const auto row = [&](const char* metric, double base, double cand,
+                       Diff diff) {
+    deltas.push_back(make_delta(metric, base, cand, diff, tol));
+  };
+  const bfs::RunSummary& b = baseline.summary;
+  const bfs::RunSummary& c = candidate.summary;
+  row("harmonic_teps", b.harmonic_teps, c.harmonic_teps, Diff::kHigher);
+  row("mean_teps", b.mean_teps, c.mean_teps, Diff::kHigher);
+  row("p50_teps", b.p50_teps, c.p50_teps, Diff::kHigher);
+  row("mean_time_ms", b.mean_time_ms, c.mean_time_ms, Diff::kLower);
+  row("p95_time_ms", b.p95_time_ms, c.p95_time_ms, Diff::kLower);
   // Workload sanity rows: never regressions, but a ratio far from 1 tells
   // the reader the two reports measured different graphs.
-  deltas.push_back(make_delta("graph.vertices",
-                              static_cast<double>(baseline.graph.vertices),
-                              static_cast<double>(candidate.graph.vertices),
-                              0, tol));
-  deltas.push_back(make_delta("graph.edges",
-                              static_cast<double>(baseline.graph.edges),
-                              static_cast<double>(candidate.graph.edges), 0,
-                              tol));
-  deltas.push_back(make_delta("mean_depth", baseline.summary.mean_depth,
-                              candidate.summary.mean_depth, 0, tol));
-  // Optional sections: every one goes through diff_section, which walks one
-  // shared metric table per section for both the both-present and the n/a
-  // path. Comparing only when both reports carry the section (a
+  row("graph.vertices", static_cast<double>(baseline.graph.vertices),
+      static_cast<double>(candidate.graph.vertices), Diff::kInfo);
+  row("graph.edges", static_cast<double>(baseline.graph.edges),
+      static_cast<double>(candidate.graph.edges), Diff::kInfo);
+  row("mean_depth", b.mean_depth, c.mean_depth, Diff::kInfo);
+  // Optional sections are compared only when both reports carry them (a
   // fault-injected run against a clean one says nothing about either),
-  // emitting n/a placeholder rows when exactly one does.
-  diff_section(deltas, "resilience", baseline.resilience, candidate.resilience,
-               tol, kResilienceDiff);
-  diff_section(deltas, "guards", baseline.guards, candidate.guards, tol,
-               kGuardDiff);
-  diff_section(deltas, "integrity", baseline.integrity, candidate.integrity,
-               tol, kIntegrityDiff);
-  diff_section(deltas, "cluster", baseline.cluster, candidate.cluster, tol,
-               kClusterDiff);
-  diff_section(deltas, "fail_slow", baseline.fail_slow, candidate.fail_slow,
-               tol, kFailSlowDiff);
-  diff_section(deltas, "service", baseline.service, candidate.service, tol,
-               kServiceDiff);
+  // with n/a rows when exactly one does.
+  diff_fields(deltas, "resilience.", opt_ptr(baseline.resilience),
+              opt_ptr(candidate.resilience), kResilience, tol);
+  diff_fields(deltas, "guards.", opt_ptr(baseline.guards),
+              opt_ptr(candidate.guards), kGuards, tol);
+  diff_fields(deltas, "integrity.", opt_ptr(baseline.integrity),
+              opt_ptr(candidate.integrity), kIntegrity, tol);
+  diff_fields(deltas, "cluster.", opt_ptr(baseline.cluster),
+              opt_ptr(candidate.cluster), kCluster, tol);
+  diff_fields(deltas, "fail_slow.", opt_ptr(baseline.fail_slow),
+              opt_ptr(candidate.fail_slow), kFailSlow, tol);
+  const ServiceSection* bs = opt_ptr(baseline.service);
+  const ServiceSection* cs = opt_ptr(candidate.service);
+  diff_fields(deltas, "service.", bs, cs, kServiceHead, tol);
+  for (const auto& [key, lane] : kLanes) {
+    diff_fields(deltas, std::string("service.") + key + ".",
+                bs != nullptr ? &(bs->*lane) : nullptr,
+                cs != nullptr ? &(cs->*lane) : nullptr, kLane, tol);
+  }
+  diff_fields(deltas, "service.", bs, cs, kServiceTail, tol);
+  diff_fields(deltas, "service.", bs, cs, kSnapshots, tol);
   return deltas;
 }
 

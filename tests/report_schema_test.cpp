@@ -1,14 +1,16 @@
 // Pins the RunReport schema: the exact text `to_json` emits for a report
 // that sets every section and gated group and for one whose sections are
-// all zero, the parse/re-serialize round trip, and the `diff_reports` rows
-// for fixed report pairs. The expected text lives in tests/golden/; a
-// mismatch writes the actual text next to the test binary so an intended
-// schema change can be reviewed and copied over.
+// all zero, the parse/re-serialize round trip, the `diff_reports` rows for
+// fixed report pairs, and `validate_report`'s answer for every key. The
+// expected text lives in tests/golden/; a mismatch writes the actual text
+// next to the test binary so an intended schema change can be reviewed and
+// copied over.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -336,6 +338,141 @@ TEST(ReportSchema, DiffRowsArePinned) {
   text += "# zero baseline\n" + diff_rows(zero_section_report(), maximal);
   text += "# one-sided\n" + diff_rows(bare_report(), maximal);
   expect_golden(text, "report_schema_diff.txt");
+}
+
+// --- validate_report covers every key from_json reads ---------------------
+
+// One step of a key path: an object key, or an array index when `key` is
+// empty.
+struct Step {
+  std::string key;
+  std::size_t index = 0;
+};
+using KeyPath = std::vector<Step>;
+
+// "levels[1].kernels[0].name", or with `indices` off the form
+// validate_report's messages use, "levels[].kernels[].name".
+std::string path_name(const KeyPath& path, bool indices) {
+  std::string name;
+  for (const Step& step : path) {
+    if (!step.key.empty()) {
+      name += (name.empty() ? "" : ".") + step.key;
+    } else {
+      name += indices ? "[" + std::to_string(step.index) + "]" : "[]";
+    }
+  }
+  return name;
+}
+
+// Every object key under `j`, in every array element, except what from_json
+// never reads: runs[].teps and everything inside metrics and events.
+void collect_paths(const Json& j, KeyPath& prefix, std::vector<KeyPath>& out) {
+  if (j.is_array()) {
+    for (std::size_t i = 0; i < j.items().size(); ++i) {
+      prefix.push_back({"", i});
+      collect_paths(j.items()[i], prefix, out);
+      prefix.pop_back();
+    }
+    return;
+  }
+  for (const auto& [key, value] : j.members()) {
+    prefix.push_back({key});
+    const std::string name = path_name(prefix, false);
+    if (name != "runs[].teps") {
+      out.push_back(prefix);
+      if (name != "metrics" && name != "events") {
+        collect_paths(value, prefix, out);
+      }
+    }
+    prefix.pop_back();
+  }
+}
+
+enum class Edit { kRetype, kDelete };
+
+// `j` with the key at `path[depth..]` given a value of another type, or
+// removed.
+Json edited(const Json& j, const KeyPath& path, std::size_t depth, Edit edit) {
+  const Step& step = path[depth];
+  if (step.key.empty()) {
+    Json copy = j;
+    copy.items()[step.index] =
+        edited(j.items()[step.index], path, depth + 1, edit);
+    return copy;
+  }
+  const bool last = depth + 1 == path.size();
+  Json copy = Json::object();
+  for (const auto& [key, value] : j.members()) {
+    if (key != step.key) {
+      copy.set(key, value);
+    } else if (!last) {
+      copy.set(key, edited(value, path, depth + 1, edit));
+    } else if (edit == Edit::kRetype) {
+      copy.set(key, value.is_number() ? Json("x") : Json(7.0));
+    }
+  }
+  return copy;
+}
+
+// Keys a valid report may leave out: optional sections and strings, the
+// recovery fields of a clean run, and the gated service groups (deleting
+// the snapshots_built gate turns the rest of that group into unread keys).
+const std::set<std::string> kOptionalKeys = {
+    "program",
+    "runs[].attempts",
+    "runs[].faults_survived",
+    "runs[].degraded",
+    "runs[].completed_by",
+    "hardware_counters",
+    "resilience",
+    "resilience.fault_plan",
+    "guards",
+    "guards.limits",
+    "guards.degradation",
+    "guards.last_trip",
+    "integrity",
+    "cluster",
+    "fail_slow",
+    "service",
+    "service.engine",
+    "service.arrivals",
+    "service.rejected_interactive",
+    "service.rejected_batch",
+    "service.snapshots_built",
+    "service.overload",
+    "metrics",
+    "events",
+};
+
+// A malformed key must never read as a zero: retyping any key the reader
+// uses gives exactly one message naming it, and so does deleting a key
+// the schema requires.
+TEST(ReportSchema, ValidateNamesEveryKeyTheReaderUses) {
+  const Json report = maximal_report().to_json();
+  ASSERT_TRUE(obs::validate_report(report).empty());
+  std::vector<KeyPath> paths;
+  KeyPath prefix;
+  collect_paths(report, prefix, paths);
+  EXPECT_GT(paths.size(), 200u);
+
+  const auto expect_one_message = [](const std::vector<std::string>& errors,
+                                     const std::string& name) {
+    ASSERT_EQ(errors.size(), 1u) << testing::PrintToString(errors);
+    EXPECT_EQ(errors[0].rfind(name + " must be ", 0), 0u) << errors[0];
+  };
+  for (const KeyPath& path : paths) {
+    const std::string name = path_name(path, false);
+    SCOPED_TRACE(path_name(path, true));
+    expect_one_message(
+        obs::validate_report(edited(report, path, 0, Edit::kRetype)), name);
+    const auto deleted =
+        obs::validate_report(edited(report, path, 0, Edit::kDelete));
+    if (kOptionalKeys.count(name) > 0) {
+      EXPECT_TRUE(deleted.empty()) << testing::PrintToString(deleted);
+    } else {
+      expect_one_message(deleted, name);
+    }
+  }
 }
 
 }  // namespace

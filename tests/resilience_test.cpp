@@ -5,6 +5,7 @@
 // zero-overhead guarantee with faults disabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bfs/engine.hpp"
@@ -618,6 +619,17 @@ TEST(ReportDiff, ResilienceRegressionOffZeroBaseline) {
   // Identical counters: no resilience regression.
   candidate.resilience = baseline.resilience;
   EXPECT_FALSE(obs::has_regression(obs::diff_reports(baseline, candidate)));
+
+  // Repartitioning off a zero baseline is a recovery step like a retry.
+  candidate.resilience->repartitions = 1;
+  const auto moved = obs::diff_reports(baseline, candidate);
+  const auto row =
+      std::find_if(moved.begin(), moved.end(), [](const obs::ReportDelta& d) {
+        return d.metric == "resilience.repartitions";
+      });
+  ASSERT_NE(row, moved.end());
+  EXPECT_TRUE(row->regression);
+  EXPECT_TRUE(obs::has_regression(moved));
 }
 
 }  // namespace

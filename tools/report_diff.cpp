@@ -1,7 +1,9 @@
-// report_diff — compare two bfs_runner --json-out RunReports and flag
-// performance regressions. When both reports carry a resilience section
-// (runs under --fault-plan), recovery counters are compared too: any of
-// them moving off a zero baseline is a regression.
+// report_diff — compare two RunReports (bfs_runner or bfs_serve --json-out)
+// and flag performance regressions. When both reports carry an optional
+// section (resilience, guards, integrity, cluster, fail_slow, service), its
+// counters are compared too, each under the diff rule of its field table:
+// a recovery or failure counter moving off a zero baseline is a
+// regression. When only one report carries a section, its rows print n/a.
 //
 //   report_diff baseline.json candidate.json [--tolerance=0.05]
 //
