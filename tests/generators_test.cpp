@@ -3,7 +3,13 @@
 // high-diameter stand-ins rely on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/degree.hpp"
+#include "graph/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "util/stats.hpp"
@@ -218,6 +224,64 @@ TEST(Suite, DeterministicForSeed) {
   EXPECT_TRUE(std::equal(a.graph.col_indices().begin(),
                          a.graph.col_indices().end(),
                          b.graph.col_indices().begin()));
+}
+
+// ---- pinned bytes ----------------------------------------------------------------
+
+// FNV-1a over row_offsets, then col_indices: any change to a generated
+// graph's bytes changes it.
+std::uint64_t csr_digest(const Csr& g) {
+  return fnv1a64(std::as_bytes(g.col_indices()),
+                 fnv1a64(std::as_bytes(g.row_offsets())));
+}
+
+Csr pinned_graph(const std::string& name) {
+  if (name == "kron-10") return generate_kronecker({10, 16, 1});
+  if (name == "kron-14") return generate_kronecker({14, 16, 42});
+  if (name == "rmat-12") {
+    RmatParams p;
+    p.scale = 12;  // directed, GTgraph (0.45, 0.15, 0.15)
+    return generate_rmat(p);
+  }
+  SuiteOptions opt;
+  opt.scale = 1.0 / 16.0;
+  return make_suite_graph(name, opt).graph;
+}
+
+// Digests of every generator family as first released: generation must
+// stay byte-for-byte reproducible from its parameters.
+const std::vector<std::pair<std::string, std::uint64_t>> kPinnedDigests = {
+    {"kron-10", 0xefdf9fe3c33a78e2ull},
+    {"kron-14", 0x0d634589ee0af0deull},
+    {"rmat-12", 0x13b7a13b4fce7636ull},
+    {"FB", 0xf983bacf5b986392ull},
+    {"FR", 0xb6fb7683a1669a57ull},
+    {"GO", 0x499c1d96a452d0f4ull},
+    {"HW", 0x77a82bacffb450cdull},
+    {"KR0", 0x8e983693803de9a8ull},
+    {"KR1", 0x06e6097e1fb824d3ull},
+    {"KR2", 0xbd51a5b93b28643bull},
+    {"KR3", 0xae349153ca9cda28ull},
+    {"KR4", 0x8f0f44df3a314de5ull},
+    {"LJ", 0xde9938da8dad419cull},
+    {"OR", 0x385f7713e91d82fdull},
+    {"PK", 0x208eb3dee61e7de6ull},
+    {"RM", 0xe21e6dee7a543887ull},
+    {"TW", 0xaff688da59d2a0fcull},
+    {"WK", 0x41eb1c4d5d07a46full},
+    {"WT", 0xde6944acb3440c3aull},
+    {"YT", 0x20f33bb6e89a11a6ull},
+    {"AUDI", 0x5f76c211446afd7aull},
+    {"ROAD", 0x18ae71200ccd96e9ull},
+    {"OSM", 0x6c28e29962d38867ull},
+};
+
+TEST(GeneratedBytes, MatchPinnedDigests) {
+  for (const auto& [name, digest] : kPinnedDigests) {
+    const std::uint64_t actual = csr_digest(pinned_graph(name));
+    EXPECT_EQ(actual, digest)
+        << name << " digests to 0x" << std::hex << actual;
+  }
 }
 
 }  // namespace
