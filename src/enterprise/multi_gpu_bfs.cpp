@@ -213,6 +213,11 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     shards.push_back({options_.device_ids[p], statuses[p].raw_bytes(),
                       &queues[p], &statuses[p]});
   }
+  // Exchange counters, resolved at the run's first exchange so the level
+  // loop does no name lookups.
+  obs::Counter* exchange_bytes = nullptr;
+  obs::Counter* exchange_bytes_uncompressed = nullptr;
+  std::vector<obs::Counter*> gpu_exchange_bytes;
 
   while (global_queue_size() > 0) {
     // Guard, flips and checks see the global frontier and the system clock.
@@ -457,18 +462,22 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     emit_span(eopt.sink, level, "comm", "status-allgather",
               system_.elapsed_ms(), comm_ms, level_exchange_bytes);
     if (eopt.metrics != nullptr) {
-      eopt.metrics->counter("multi_gpu.exchange_bytes")
-          .add(level_exchange_bytes);
-      eopt.metrics->counter("multi_gpu.exchange_bytes_uncompressed")
-          .add(level_exchange_bytes * 8);
+      if (exchange_bytes == nullptr) {
+        exchange_bytes = &eopt.metrics->counter("multi_gpu.exchange_bytes");
+        exchange_bytes_uncompressed =
+            &eopt.metrics->counter("multi_gpu.exchange_bytes_uncompressed");
+        for (unsigned p = 0; p < P; ++p) {
+          gpu_exchange_bytes.push_back(&eopt.metrics->counter(
+              "multi_gpu.gpu" + std::to_string(p) + ".exchange_bytes"));
+        }
+      }
+      exchange_bytes->add(level_exchange_bytes);
+      exchange_bytes_uncompressed->add(level_exchange_bytes * 8);
       // Per-GPU share of the collective (each device's slice of the total
       // volume; on the ring that is the historical broadcast-to-P-1-peers
       // figure).
-      for (unsigned p = 0; p < P; ++p) {
-        eopt.metrics
-            ->counter("multi_gpu.gpu" + std::to_string(p) +
-                      ".exchange_bytes")
-            .add(level_exchange_bytes / P);
+      for (obs::Counter* gpu : gpu_exchange_bytes) {
+        gpu->add(level_exchange_bytes / P);
       }
     }
 

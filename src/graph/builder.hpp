@@ -10,15 +10,8 @@ namespace ent::graph {
 
 struct BuildOptions {
   // Treat every input edge as two directed edges (the paper counts each
-  // undirected edge twice).
+  // undirected edge twice). A self-loop stays one edge.
   bool symmetrize = false;
-  // Drop (u, u) edges. The paper keeps them; off by default.
-  bool remove_self_loops = false;
-  // Drop repeated (u, v) pairs. The paper keeps them; off by default.
-  bool remove_duplicates = false;
-  // Sort each adjacency list ascending. The paper notes most inputs arrive
-  // sorted; sorting also makes adjacency loads sequential.
-  bool sort_neighbors = true;
   // Whether the resulting Csr reports itself directed.
   bool directed = true;
   // Allocation-bomb guard: the CSR row-offset array is num_vertices+1
@@ -31,9 +24,12 @@ struct BuildOptions {
   vertex_t max_vertices = 1u << 28;
 };
 
-// Builds a CSR over vertices [0, num_vertices). Edges referencing vertices
-// outside the range throw graph::GraphFormatError (graph/errors.hpp) naming
-// the offending edge index and endpoints.
+// Builds a CSR over vertices [0, num_vertices). Every adjacency list comes
+// out sorted ascending, and duplicate edges and self-loops are kept, as §5
+// of the paper does: the CSR depends only on the multiset of edges. Edges
+// referencing vertices outside the range throw graph::GraphFormatError
+// (graph/errors.hpp) naming the lowest offending edge index and its
+// endpoints. Runs on util::host_pool().
 Csr build_csr(vertex_t num_vertices, std::vector<Edge> edges,
               const BuildOptions& options = {});
 

@@ -1,11 +1,15 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "graph/builder.hpp"
+#include "graph/errors.hpp"
 #include "util/assert.hpp"
+#include "util/pool.hpp"
 #include "util/random.hpp"
 
 namespace ent::graph {
@@ -33,14 +37,26 @@ Edge rmat_edge(int scale, double a, double b, double c, SplitMix64& rng) {
   return {src, dst};
 }
 
+// Edges per pool chunk of the R-MAT draws and the relabel. Fixed, so the
+// chunks, and with them every chunk's starting draw, do not depend on the
+// pool size.
+constexpr std::size_t kEdgeChunk = std::size_t{1} << 16;
+
 std::vector<Edge> rmat_edges(int scale, edge_t count, double a, double b,
                              double c, std::uint64_t seed) {
   ENT_ASSERT(scale >= 1 && scale < 32);
   ENT_ASSERT(a + b + c <= 1.0);
-  SplitMix64 rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(count);
-  for (edge_t e = 0; e < count; ++e) edges.push_back(rmat_edge(scale, a, b, c, rng));
+  std::vector<Edge> edges(count);
+  // Every edge takes exactly `scale` draws, so edge e's draws start at draw
+  // e * scale of the one serial stream, and each chunk seeds itself there.
+  const auto draws_per_edge = static_cast<std::uint64_t>(scale);
+  util::host_pool().for_each_block(
+      edges.size(), kEdgeChunk, [&](std::size_t begin, std::size_t end) {
+        SplitMix64 rng(seed + begin * draws_per_edge * SplitMix64::kGamma);
+        for (std::size_t e = begin; e < end; ++e) {
+          edges[e] = rmat_edge(scale, a, b, c, rng);
+        }
+      });
   return edges;
 }
 
@@ -58,15 +74,34 @@ std::vector<vertex_t> random_permutation(vertex_t n, std::uint64_t seed) {
 }
 
 void relabel(std::vector<Edge>& edges, const std::vector<vertex_t>& perm) {
-  for (Edge& e : edges) {
-    e.src = perm[e.src];
-    e.dst = perm[e.dst];
-  }
+  util::host_pool().for_each_block(
+      edges.size(), kEdgeChunk, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          edges[i].src = perm[edges[i].src];
+          edges[i].dst = perm[edges[i].dst];
+        }
+      });
 }
 
 }  // namespace
 
 Csr generate_rmat(const RmatParams& params) {
+  // Checked before the shift and the edge array below, which a bad scale or
+  // edge factor would turn into undefined behaviour or a huge allocation.
+  const vertex_t max_vertices = BuildOptions{}.max_vertices;
+  if (params.scale < 1 ||
+      params.scale >= static_cast<int>(std::bit_width(max_vertices))) {
+    throw GraphFormatError(
+        {}, "rmat scale " + std::to_string(params.scale) +
+                " out of range: need 1 <= scale and 2^scale <= "
+                "BuildOptions.max_vertices=" +
+                std::to_string(max_vertices));
+  }
+  if (params.edge_factor < 1) {
+    throw GraphFormatError({}, "rmat edge factor " +
+                                   std::to_string(params.edge_factor) +
+                                   " out of range: need edge_factor >= 1");
+  }
   const auto n = static_cast<vertex_t>(1u << params.scale);
   const auto target = static_cast<edge_t>(n) *
                       static_cast<edge_t>(params.edge_factor);

@@ -276,8 +276,8 @@ ApplyResult apply_updates(const Csr& base, const UpdateBatch& batch) {
     touched.push_back(op.src);
     touched.push_back(op.dst);
   }
-  // Touched lists are re-sorted (the builder's sort_neighbors default);
-  // untouched lists keep their base order bit-for-bit.
+  // Touched lists are re-sorted, as build_csr sorts every list; untouched
+  // lists keep their base order bit-for-bit.
   for (auto& [v, list] : touched_adj) std::sort(list.begin(), list.end());
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());

@@ -11,10 +11,16 @@ namespace ent {
 // SplitMix64 (Steele, Lea, Flood 2014). Also used to seed Xorshift128+.
 class SplitMix64 {
  public:
+  // The state advances by kGamma per draw, so the generator is
+  // counter-based: after k draws from `seed` it is exactly
+  // SplitMix64(seed + k * kGamma) (mod 2^64), and a stream can start at any
+  // draw without running the ones before it.
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);

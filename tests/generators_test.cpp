@@ -3,15 +3,19 @@
 // high-diameter stand-ins rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/degree.hpp"
 #include "graph/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
+#include "util/pool.hpp"
+#include "util/random.hpp"
 #include "util/stats.hpp"
 
 namespace ent::graph {
@@ -276,13 +280,80 @@ const std::vector<std::pair<std::string, std::uint64_t>> kPinnedDigests = {
     {"OSM", 0x6c28e29962d38867ull},
 };
 
-TEST(GeneratedBytes, MatchPinnedDigests) {
+// Generation and the CSR build run on the host pool; their bytes must not
+// depend on its size. Seven threads split edge lists unevenly.
+class GeneratedBytes : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(GeneratedBytes, MatchPinnedDigestsAtEveryPoolSize) {
+  util::ScopedHostPool pool(GetParam());
   for (const auto& [name, digest] : kPinnedDigests) {
     const std::uint64_t actual = csr_digest(pinned_graph(name));
     EXPECT_EQ(actual, digest)
         << name << " digests to 0x" << std::hex << actual;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, GeneratedBytes,
+                         ::testing::Values(1u, 2u, 4u, 7u));
+
+// ---- build_csr against a naive reference ------------------------------------------
+
+// The CSR of an edge multiset by definition: every directed pair (both
+// directions of a non-loop edge under symmetrize), sorted, then counted.
+std::pair<std::vector<edge_t>, std::vector<vertex_t>> reference_csr(
+    vertex_t n, const std::vector<Edge>& edges, bool symmetrize) {
+  std::vector<std::pair<vertex_t, vertex_t>> pairs;
+  for (const Edge& e : edges) {
+    pairs.emplace_back(e.src, e.dst);
+    if (symmetrize && e.src != e.dst) pairs.emplace_back(e.dst, e.src);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<vertex_t> cols;
+  for (const auto& [src, dst] : pairs) {
+    ++offsets[static_cast<std::size_t>(src) + 1];
+    cols.push_back(dst);
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return {offsets, cols};
+}
+
+class BuildCsrDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BuildCsrDifferential, MatchesSortedPairReference) {
+  util::ScopedHostPool pool(GetParam());
+  SplitMix64 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<vertex_t>(2 + rng.next_below(300));
+    // Endpoints below `used` only, so vertices [used, n-1) stay isolated;
+    // vertex n-1 gets one edge of its own.
+    const auto used = static_cast<vertex_t>(1 + rng.next_below(n - 1));
+    const auto m = static_cast<std::size_t>(rng.next_below(20u * n));
+    std::vector<Edge> edges;
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto src = static_cast<vertex_t>(rng.next_below(used));
+      const auto dst = rng.next_below(8) == 0
+                           ? src  // a self-loop
+                           : static_cast<vertex_t>(rng.next_below(used));
+      edges.push_back({src, dst});
+    }
+    if (!edges.empty()) edges.push_back(edges[rng.next_below(edges.size())]);
+    edges.push_back({n - 1, 0});
+    for (const bool symmetrize : {false, true}) {
+      BuildOptions opts;
+      opts.symmetrize = symmetrize;
+      const Csr g = build_csr(n, edges, opts);
+      const auto [offsets, cols] = reference_csr(n, edges, symmetrize);
+      EXPECT_TRUE(std::ranges::equal(g.row_offsets(), offsets))
+          << "trial " << trial << " symmetrize " << symmetrize;
+      EXPECT_TRUE(std::ranges::equal(g.col_indices(), cols))
+          << "trial " << trial << " symmetrize " << symmetrize;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, BuildCsrDifferential,
+                         ::testing::Values(1u, 2u, 4u, 7u));
 
 }  // namespace
 }  // namespace ent::graph

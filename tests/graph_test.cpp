@@ -74,14 +74,6 @@ TEST(Builder, KeepsDuplicatesByDefault) {
   EXPECT_EQ(g.num_edges(), 3u);  // the paper performs no pre-processing
 }
 
-TEST(Builder, RemoveDuplicatesAndSelfLoops) {
-  BuildOptions opts;
-  opts.remove_duplicates = true;
-  opts.remove_self_loops = true;
-  const Csr g = build_csr(2, {{0, 1}, {0, 1}, {0, 0}}, opts);
-  EXPECT_EQ(g.num_edges(), 1u);
-}
-
 TEST(Builder, SortsNeighbors) {
   const Csr g = build_csr(4, {{0, 3}, {0, 1}, {0, 2}});
   const auto n = g.neighbors(0);

@@ -14,8 +14,10 @@
 #include "graph/corrupt.hpp"
 #include "graph/csr.hpp"
 #include "graph/errors.hpp"
+#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/validate.hpp"
+#include "util/pool.hpp"
 
 namespace {
 
@@ -125,6 +127,48 @@ TEST(BuilderErrors, OutOfRangeEndpointThrowsTyped) {
     EXPECT_EQ(e.offset(), 1u);  // edge index of the offender
     EXPECT_NE(e.invariant().find("out of range"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("7"), std::string::npos);
+  }
+  // A list long enough to split into one range per pool thread, with
+  // offenders in several ranges: the lowest index wins at every pool size.
+  std::vector<Edge> edges(4000);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    edges[i] = {static_cast<vertex_t>(i % 4), static_cast<vertex_t>(i % 3)};
+  }
+  edges[1234] = {9, 0};
+  edges[2100] = {0, 11};
+  edges[3999] = {12, 13};
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    ent::util::ScopedHostPool pool(threads);
+    try {
+      ent::graph::build_csr(4, edges, {});
+      FAIL() << "expected GraphFormatError at " << threads << " threads";
+    } catch (const GraphFormatError& e) {
+      EXPECT_EQ(e.offset(), 1234u) << threads << " threads";
+      EXPECT_NE(std::string(e.what()).find("(9, 0)"), std::string::npos);
+    }
+  }
+}
+
+// --- generator parameters are checked before any shift or allocation ------
+
+TEST(GeneratorErrors, BadKroneckerParametersThrowTyped) {
+  const struct {
+    int scale;
+    int edge_factor;
+    const char* parameter;
+  } cases[] = {{0, 16, "scale 0"},
+               {29, 16, "scale 29"},  // 2^29 > BuildOptions.max_vertices
+               {32, 16, "scale 32"},
+               {10, 0, "edge factor 0"},
+               {10, -1, "edge factor -1"}};
+  for (const auto& c : cases) {
+    try {
+      (void)ent::graph::generate_kronecker({c.scale, c.edge_factor, 1});
+      FAIL() << "expected GraphFormatError for " << c.parameter;
+    } catch (const GraphFormatError& e) {
+      EXPECT_NE(e.invariant().find(c.parameter), std::string::npos)
+          << e.what();
+    }
   }
 }
 

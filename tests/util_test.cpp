@@ -1,11 +1,17 @@
 // Unit and property tests for src/util.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "util/args.hpp"
 #include "util/bit_array.hpp"
+#include "util/pool.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -259,6 +265,146 @@ TEST(Args, ParsesAllForms) {
   EXPECT_EQ(args.positional()[0], "pos");
   EXPECT_DOUBLE_EQ(args.get_double("a", 0.0), 1.0);
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
+}
+
+// ---- host pool -----------------------------------------------------------------
+
+class HostPoolTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(HostPoolTest, EveryChunkRunsExactlyOnce) {
+  util::HostPool pool(GetParam());
+  EXPECT_EQ(pool.size(), GetParam());
+  for (const std::size_t chunks :
+       {std::size_t{0}, std::size_t{1}, std::size_t{GetParam()},
+        std::size_t{GetParam() + 1}, std::size_t{1000}}) {
+    std::vector<std::atomic<int>> runs(chunks);
+    pool.for_each(chunks, [&](std::size_t c) { ++runs[c]; });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(runs[c].load(), 1) << "chunk " << c << " of " << chunks;
+    }
+  }
+}
+
+TEST_P(HostPoolTest, ChunkPartialsMergedInOrderMatchSerialLoop) {
+  // Floating-point sums depend on their order, so equality needs the same
+  // chunks merged in the same order whichever thread ran each.
+  std::vector<double> data(100003);
+  SplitMix64 rng(17);
+  for (double& d : data) d = rng.next_double() * 1e6 - 5e5;
+  constexpr std::size_t kBlock = 1000;
+  double serial = 0.0;
+  for (std::size_t begin = 0; begin < data.size(); begin += kBlock) {
+    double partial = 0.0;
+    for (std::size_t i = begin; i < std::min(data.size(), begin + kBlock); ++i)
+      partial += data[i];
+    serial += partial;
+  }
+  util::HostPool pool(GetParam());
+  std::vector<double> partials((data.size() + kBlock - 1) / kBlock, 0.0);
+  pool.for_each_block(data.size(), kBlock,
+                      [&](std::size_t begin, std::size_t end) {
+                        double partial = 0.0;
+                        for (std::size_t i = begin; i < end; ++i)
+                          partial += data[i];
+                        partials[begin / kBlock] = partial;
+                      });
+  double merged = 0.0;
+  for (double p : partials) merged += p;
+  EXPECT_EQ(merged, serial);
+}
+
+TEST_P(HostPoolTest, LowestFailingChunkExceptionReachesCaller) {
+  util::HostPool pool(GetParam());
+  std::vector<std::atomic<int>> runs(200);
+  try {
+    pool.for_each(runs.size(), [&](std::size_t c) {
+      ++runs[c];
+      if (c == 17 || c == 42 || c == 199) {
+        throw std::runtime_error("chunk " + std::to_string(c));
+      }
+    });
+    FAIL() << "expected the chunk's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 17");
+  }
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST_P(HostPoolTest, NestedCallRunsInlineWithoutDeadlock) {
+  util::ScopedHostPool scoped(GetParam());
+  std::vector<std::atomic<int>> inner_runs(64 * 8);
+  std::atomic<int> foreign_threads{0};
+  util::host_pool().for_each(64, [&](std::size_t outer) {
+    const auto self = std::this_thread::get_id();
+    util::host_pool().for_each(8, [&](std::size_t inner) {
+      if (std::this_thread::get_id() != self) ++foreign_threads;
+      ++inner_runs[outer * 8 + inner];
+    });
+  });
+  EXPECT_EQ(foreign_threads.load(), 0);
+  for (const auto& r : inner_runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST_P(HostPoolTest, ConcurrentCallersBothFinish) {
+  util::HostPool pool(GetParam());
+  std::vector<std::atomic<int>> runs(2 * 500);
+  auto caller = [&](std::size_t base) {
+    for (int round = 0; round < 20; ++round) {
+      pool.for_each(500, [&](std::size_t c) { ++runs[base + c]; });
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 500);
+  a.join();
+  b.join();
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, HostPoolTest, ::testing::Values(1u, 2u, 4u, 7u));
+
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(HostPool, SizeOneStartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task to count threads";
+  }
+  const std::size_t before = live_threads();
+  {
+    util::HostPool pool(1);
+    EXPECT_EQ(live_threads(), before);
+    const auto self = std::this_thread::get_id();
+    std::atomic<int> foreign{0};
+    pool.for_each(100, [&](std::size_t) {
+      if (std::this_thread::get_id() != self) ++foreign;
+    });
+    EXPECT_EQ(foreign.load(), 0);
+  }
+  // At least: a sanitizer runtime may start a helper with the first thread.
+  util::HostPool pool(3);
+  EXPECT_GE(live_threads(), before + 2);
+}
+
+TEST(HostPool, ScopedPoolReplacesProcessPoolForItsScope) {
+  const unsigned process = util::host_pool().size();
+  EXPECT_GE(process, 1u);
+  {
+    util::ScopedHostPool outer(3);
+    EXPECT_EQ(util::host_pool().size(), 3u);
+    {
+      util::ScopedHostPool inner(1);
+      EXPECT_EQ(util::host_pool().size(), 1u);
+    }
+    EXPECT_EQ(util::host_pool().size(), 3u);
+  }
+  EXPECT_EQ(util::host_pool().size(), process);
 }
 
 }  // namespace
