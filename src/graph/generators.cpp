@@ -196,6 +196,11 @@ Csr generate_social(const SocialProfile& profile) {
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     edges.push_back({stubs[i], stubs[i + 1]});
   }
+  // Release the dead scratch before build_csr allocates its arrays: it
+  // would otherwise set the generator's peak memory.
+  std::vector<vertex_t>().swap(stubs);
+  std::vector<double>().swap(raw);
+  std::vector<edge_t>().swap(degree);
 
   BuildOptions opts;
   opts.symmetrize = !profile.directed;
