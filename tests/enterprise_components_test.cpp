@@ -3,19 +3,43 @@
 // workflows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "baselines/cpu_bfs.hpp"
 #include "enterprise/classify.hpp"
 #include "enterprise/direction.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
+#include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
 #include "graph/builder.hpp"
+#include "graph/degree.hpp"
+#include "graph/generators.hpp"
 #include "gpusim/device.hpp"
 #include "util/bit_array.hpp"
+#include "util/pool.hpp"
 
 namespace ent::enterprise {
 namespace {
 
 using graph::vertex_t;
+
+void expect_same_record(const sim::KernelRecord& a,
+                        const sim::KernelRecord& b) {
+  EXPECT_EQ(a.warp_cycles, b.warp_cycles);
+  EXPECT_EQ(a.critical_cycles, b.critical_cycles);
+  EXPECT_EQ(a.thread_cycles, b.thread_cycles);
+  EXPECT_EQ(a.launched_threads, b.launched_threads);
+  EXPECT_EQ(a.active_threads, b.active_threads);
+  EXPECT_EQ(a.mem.load_transactions, b.mem.load_transactions);
+  EXPECT_EQ(a.mem.store_transactions, b.mem.store_transactions);
+  EXPECT_EQ(a.mem.dram_transactions, b.mem.dram_transactions);
+  EXPECT_EQ(a.mem.dram_bytes, b.mem.dram_bytes);
+  EXPECT_EQ(a.mem.requested_bytes, b.mem.requested_bytes);
+  EXPECT_EQ(a.mem.random_transactions, b.mem.random_transactions);
+  EXPECT_EQ(a.mem.shared_accesses, b.mem.shared_accesses);
+}
 
 // ---- status array ---------------------------------------------------------------
 
@@ -210,19 +234,7 @@ TEST_F(QueueGenTest, TopDownBlockScanMatchesPlainScan) {
   sim::KernelRecord harvest_rec;
   EXPECT_EQ(gen_.harvest(discovered, harvest_rec), plain_scan(0, n));
   // The device still scans every status, so the charge is the scan's.
-  EXPECT_EQ(harvest_rec.warp_cycles, rec.warp_cycles);
-  EXPECT_EQ(harvest_rec.critical_cycles, rec.critical_cycles);
-  EXPECT_EQ(harvest_rec.thread_cycles, rec.thread_cycles);
-  EXPECT_EQ(harvest_rec.launched_threads, rec.launched_threads);
-  EXPECT_EQ(harvest_rec.active_threads, rec.active_threads);
-  EXPECT_EQ(harvest_rec.mem.load_transactions, rec.mem.load_transactions);
-  EXPECT_EQ(harvest_rec.mem.store_transactions, rec.mem.store_transactions);
-  EXPECT_EQ(harvest_rec.mem.dram_transactions, rec.mem.dram_transactions);
-  EXPECT_EQ(harvest_rec.mem.dram_bytes, rec.mem.dram_bytes);
-  EXPECT_EQ(harvest_rec.mem.requested_bytes, rec.mem.requested_bytes);
-  EXPECT_EQ(harvest_rec.mem.random_transactions,
-            rec.mem.random_transactions);
-  EXPECT_EQ(harvest_rec.mem.shared_accesses, rec.mem.shared_accesses);
+  expect_same_record(harvest_rec, rec);
   EXPECT_EQ(discovered.popcount(), 0u);  // the harvest clears its bits
 }
 
@@ -297,6 +309,201 @@ TEST_F(QueueGenTest, FilterOnlyScansPreviousQueue) {
   sim::KernelRecord full_scan_rec;
   gen_.direction_switch(sa, {}, full_scan_rec);
   EXPECT_LT(filter_rec.mem.dram_bytes, full_scan_rec.mem.dram_bytes / 100);
+}
+
+// ---- pooled host loops: the same answer at every pool size --------------------
+
+// One bottom-up level of a scale-16 Kronecker BFS: statuses and parents up to
+// the level before the widest, the unvisited queue, and a small hub cache
+// seeded with that level's hubs, so most inserts collide and their order
+// shows. Each pooled kernel runs at pool sizes 1, 2, 4 and 7 and must
+// reproduce the one-thread result exactly.
+class PooledKernels : public ::testing::Test {
+ protected:
+  static constexpr unsigned kPoolSizes[] = {1, 2, 4, 7};
+
+  PooledKernels() : dev_(sim::k40()), gen_(dev_.memory(), 2048) {
+    graph::KroneckerParams p;
+    p.scale = 16;
+    p.edge_factor = 16;
+    p.seed = 5;
+    g_ = graph::generate_kronecker(p);
+    vertex_t source = 0;
+    while (g_.out_degree(source) < 8) ++source;
+    const bfs::BfsResult tree = baselines::cpu_bfs(g_, source);
+    std::vector<vertex_t> width(static_cast<std::size_t>(tree.depth) + 1, 0);
+    for (const std::int32_t l : tree.levels) {
+      if (l >= 0) ++width[static_cast<std::size_t>(l)];
+    }
+    // The level before the widest: the expansion then visits the most.
+    level_ = static_cast<std::int32_t>(
+                 std::max_element(width.begin(), width.end()) -
+                 width.begin()) -
+             1;
+    status_ = StatusArray(g_.num_vertices());
+    parents_.assign(g_.num_vertices(), graph::kInvalidVertex);
+    for (vertex_t v = 0; v < g_.num_vertices(); ++v) {
+      if (tree.levels[v] >= 0 && tree.levels[v] <= level_) {
+        status_.visit(v, tree.levels[v]);
+        parents_[v] = tree.parents[v];
+      } else {
+        queue_.push_back(v);
+      }
+    }
+    hub_flags_ = graph::hub_flags(g_, 64);
+  }
+
+  HubCache seeded_cache() const {
+    HubCache cache(64);
+    for (vertex_t v = 0; v < g_.num_vertices(); ++v) {
+      if (hub_flags_[v] != 0 && status_.level(v) == level_) cache.insert(v);
+    }
+    return cache;
+  }
+
+  // The ids a cache holds, which pins every slot of a direct-mapped table.
+  std::vector<vertex_t> cached_ids(const HubCache& cache) const {
+    HubCache probe = cache;
+    std::vector<vertex_t> ids;
+    for (vertex_t v = 0; v < g_.num_vertices(); ++v) {
+      if (probe.contains(v)) ids.push_back(v);
+    }
+    return ids;
+  }
+
+  graph::Csr g_;
+  sim::Device dev_;
+  FrontierQueueGenerator gen_;
+  std::int32_t level_ = 0;
+  StatusArray status_{0};
+  std::vector<vertex_t> parents_;
+  std::vector<vertex_t> queue_;
+  std::vector<std::uint8_t> hub_flags_;
+};
+
+TEST_F(PooledKernels, BottomUpExpansionMatchesAtEveryPoolSize) {
+  ASSERT_GT(queue_.size(), 4096u);  // several blocks
+  for (const Granularity gran : {Granularity::kThread, Granularity::kWarp,
+                                 Granularity::kCta, Granularity::kGrid}) {
+    for (const bool with_cache : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(gran) << (with_cache ? " + cache" : ""));
+      struct Run {
+        ExpandOutput out;
+        sim::KernelRecord rec;
+        std::vector<std::int32_t> levels;
+        std::vector<vertex_t> parents;
+        std::uint64_t probes = 0;
+        std::uint64_t hits = 0;
+      };
+      std::vector<Run> runs;
+      for (const unsigned threads : kPoolSizes) {
+        util::ScopedHostPool pool(threads);
+        StatusArray status = status_;
+        std::vector<vertex_t> parents = parents_;
+        HubCache cache = seeded_cache();
+        Run run;
+        run.out = expand_bottom_up(g_, status, parents, queue_, gran,
+                                   level_ + 1, with_cache ? &cache : nullptr,
+                                   dev_.memory(), run.rec);
+        run.levels.assign(status.data().begin(), status.data().end());
+        run.parents = std::move(parents);
+        run.probes = cache.probes();
+        run.hits = cache.hits();
+        runs.push_back(std::move(run));
+      }
+      const Run& ref = runs.front();
+      EXPECT_GT(ref.out.newly_visited, 0u);
+      EXPECT_EQ(ref.hits > 0, with_cache);
+      for (std::size_t i = 1; i < runs.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << kPoolSizes[i] << " threads");
+        EXPECT_EQ(runs[i].out.newly_visited, ref.out.newly_visited);
+        EXPECT_EQ(runs[i].out.edges_inspected, ref.out.edges_inspected);
+        expect_same_record(runs[i].rec, ref.rec);
+        EXPECT_EQ(runs[i].levels, ref.levels);
+        EXPECT_EQ(runs[i].parents, ref.parents);
+        EXPECT_EQ(runs[i].probes, ref.probes);
+        EXPECT_EQ(runs[i].hits, ref.hits);
+      }
+    }
+  }
+}
+
+TEST_F(PooledKernels, ClassifyMatchesAtEveryPoolSize) {
+  // The unvisited queue, and every vertex, so each class spans blocks.
+  std::vector<vertex_t> all(g_.num_vertices());
+  std::iota(all.begin(), all.end(), 0u);
+  for (const auto* frontier : {&queue_, &all}) {
+    std::vector<ClassifiedQueues> queues;
+    std::vector<sim::KernelRecord> recs;
+    for (const unsigned threads : kPoolSizes) {
+      util::ScopedHostPool pool(threads);
+      sim::KernelRecord rec;
+      queues.push_back(classify_frontiers(g_, *frontier, dev_.memory(), rec));
+      recs.push_back(rec);
+    }
+    EXPECT_EQ(queues.front().total(), frontier->size());
+    for (std::size_t i = 1; i < queues.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << kPoolSizes[i] << " threads");
+      EXPECT_EQ(queues[i].queues, queues.front().queues);
+      expect_same_record(recs[i], recs.front());
+    }
+  }
+}
+
+TEST_F(PooledKernels, QueueGenerationMatchesAtEveryPoolSize) {
+  // Expand the level once, so the filter sees this level's visits.
+  StatusArray after = status_;
+  std::vector<vertex_t> parents = parents_;
+  sim::KernelRecord expand_rec;
+  expand_bottom_up(g_, after, parents, queue_, Granularity::kThread,
+                   level_ + 1, nullptr, dev_.memory(), expand_rec);
+
+  struct Run {
+    std::vector<vertex_t> queue;
+    sim::KernelRecord rec;
+    std::vector<vertex_t> cached;
+  };
+  const vertex_t n = g_.num_vertices();
+  const auto runs_of = [&](auto&& generate) {
+    std::vector<Run> runs;
+    for (const unsigned threads : kPoolSizes) {
+      util::ScopedHostPool pool(threads);
+      HubCache cache(64);
+      Run run;
+      run.queue = generate(cache, run.rec);
+      run.cached = cached_ids(cache);
+      runs.push_back(std::move(run));
+    }
+    EXPECT_FALSE(runs.front().cached.empty());
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << kPoolSizes[i] << " threads");
+      EXPECT_EQ(runs[i].queue, runs.front().queue);
+      expect_same_record(runs[i].rec, runs.front().rec);
+      EXPECT_EQ(runs[i].cached, runs.front().cached);
+    }
+  };
+  {
+    SCOPED_TRACE("direction switch");
+    runs_of([&](HubCache& cache, sim::KernelRecord& rec) {
+      return gen_.direction_switch(status_, {&cache, &hub_flags_, level_},
+                                   rec);
+    });
+  }
+  {
+    SCOPED_TRACE("direction switch over one device's range");
+    runs_of([&](HubCache& cache, sim::KernelRecord& rec) {
+      return gen_.direction_switch(status_, {&cache, &hub_flags_, level_},
+                                   n / 8 + 3, n - n / 8, rec);
+    });
+  }
+  {
+    SCOPED_TRACE("bottom-up filter");
+    runs_of([&](HubCache& cache, sim::KernelRecord& rec) {
+      return gen_.bottom_up_filter(queue_, after,
+                                   {&cache, &hub_flags_, level_ + 1}, rec);
+    });
+  }
 }
 
 }  // namespace

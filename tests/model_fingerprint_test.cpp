@@ -19,6 +19,7 @@
 #include "graph/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
+#include "util/pool.hpp"
 
 namespace ent {
 namespace {
@@ -56,6 +57,39 @@ std::vector<vertex_t> quarter_sources(const Csr& g) {
   return sources;
 }
 
+void expect_fingerprint(bfs::Engine& engine, vertex_t source,
+                        const Fingerprint& want, bool with_comm) {
+  const bfs::BfsResult r = engine.run(source);
+  std::vector<double> level_ms;
+  for (const bfs::LevelTrace& t : r.level_trace) {
+    level_ms.push_back(t.queue_gen_ms);
+    level_ms.push_back(t.expand_ms);
+    if (with_comm) level_ms.push_back(t.comm_ms);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.time_ms), want.time_ms_bits)
+      << "time_ms " << r.time_ms;
+  EXPECT_EQ(r.edges_traversed, want.edges_traversed);
+  EXPECT_EQ(r.level_trace.size(), want.levels);
+  EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(level_ms))),
+            want.level_digest);
+  if (want.tree_digest != 0) {
+    EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(r.parents)),
+                             graph::fnv1a64(std::as_bytes(
+                                 std::span(r.levels)))),
+              want.tree_digest);
+  }
+  const sim::Device* device = engine.device();
+  if (device == nullptr) return;
+  EXPECT_EQ(engine.counters()->gld_transactions, want.gld_transactions);
+  std::uint64_t warp_cycles = 0;
+  for (const sim::KernelRecord& k : device->timeline()) {
+    warp_cycles += k.warp_cycles;
+  }
+  EXPECT_EQ(warp_cycles, want.warp_cycles);
+}
+
+// Every case runs at several host pool sizes: the pooled host loops must not
+// move a simulated value.
 void expect_fingerprints(const std::string& spec, const Csr& g,
                          std::span<const Fingerprint> pinned,
                          const bfs::EngineConfig& config = {},
@@ -64,37 +98,14 @@ void expect_fingerprints(const std::string& spec, const Csr& g,
   ASSERT_NE(engine, nullptr);
   const std::vector<vertex_t> sources = quarter_sources(g);
   ASSERT_EQ(sources.size(), pinned.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Fingerprint& want = pinned[i];
-    SCOPED_TRACE(::testing::Message() << spec << " source " << sources[i]);
-    ASSERT_EQ(sources[i], want.source);
-    const bfs::BfsResult r = engine->run(sources[i]);
-    std::vector<double> level_ms;
-    for (const bfs::LevelTrace& t : r.level_trace) {
-      level_ms.push_back(t.queue_gen_ms);
-      level_ms.push_back(t.expand_ms);
-      if (with_comm) level_ms.push_back(t.comm_ms);
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    util::ScopedHostPool pool(threads);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << spec << " source " << sources[i]
+                                        << ", " << threads << " threads");
+      ASSERT_EQ(sources[i], pinned[i].source);
+      expect_fingerprint(*engine, sources[i], pinned[i], with_comm);
     }
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.time_ms), want.time_ms_bits)
-        << "time_ms " << r.time_ms;
-    EXPECT_EQ(r.edges_traversed, want.edges_traversed);
-    EXPECT_EQ(r.level_trace.size(), want.levels);
-    EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(level_ms))),
-              want.level_digest);
-    if (want.tree_digest != 0) {
-      EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(r.parents)),
-                               graph::fnv1a64(std::as_bytes(
-                                   std::span(r.levels)))),
-                want.tree_digest);
-    }
-    const sim::Device* device = engine->device();
-    if (device == nullptr) continue;
-    EXPECT_EQ(engine->counters()->gld_transactions, want.gld_transactions);
-    std::uint64_t warp_cycles = 0;
-    for (const sim::KernelRecord& k : device->timeline()) {
-      warp_cycles += k.warp_cycles;
-    }
-    EXPECT_EQ(warp_cycles, want.warp_cycles);
   }
 }
 
@@ -137,6 +148,48 @@ TEST(ModelFingerprint, EnterpriseOnKroneckerScale12) {
        9860, 0x7473cbf6c319d600ull},
   };
   expect_fingerprints("enterprise", g, pinned);
+}
+
+Csr kronecker17() {
+  graph::KroneckerParams p;
+  p.scale = 17;
+  p.edge_factor = 16;
+  p.seed = 11;
+  return graph::generate_kronecker(p);
+}
+
+// Scale 17 spans several blocks of every pooled loop: the bottom-up
+// expansion, queue generation, classification and finalize.
+TEST(ModelFingerprint, EnterpriseOnKroneckerScale17) {
+  const Csr g = kronecker17();
+  const Fingerprint pinned[] = {
+      {0, 0x3fc7cef5fb00bb1eull, 4193694, 6, 0xa69eca37d3bc4f0full, 405113,
+       409619, 0xfe901f39bb70ba0eull},
+      {32769, 0x3fc95567a972f0abull, 4193694, 7, 0xdf5811abb8d1146cull,
+       408559, 435589, 0x2c221031a6d282d3ull},
+      {65537, 0x3fc94d1110d343aaull, 4193694, 6, 0x65cab058f0d4d13eull,
+       397699, 440534, 0x917ba390135f4845ull},
+      {98304, 0x3fc9c4c5bcf072a8ull, 4193694, 6, 0xbe020564d9625796ull,
+       407076, 541371, 0x6cdc11b513ef150eull},
+  };
+  expect_fingerprints("enterprise", g, pinned);
+}
+
+TEST(ModelFingerprint, MultiGpuFourOnKroneckerScale17) {
+  const Csr g = kronecker17();
+  bfs::EngineConfig config;
+  config.multi_gpu.num_gpus = 4;
+  const Fingerprint pinned[] = {
+      {0, 0x3fce844bb6201ef3ull, 4193694, 6, 0x303482df86e9f1a1ull, 0, 0,
+       0xb8d0040d34784079ull},
+      {32769, 0x3fd1c378f3d012a0ull, 4193694, 7, 0xe94b4fdd47bc4053ull, 0, 0,
+       0x2f17bb4bfeffdea7ull},
+      {65537, 0x3fd01c9751a412adull, 4193694, 6, 0xe11d6fdd4bb5f66full, 0, 0,
+       0xdf19ad10d1db55edull},
+      {98304, 0x3fcfa063f4583867ull, 4193694, 6, 0x19c9e60dc2bf43abull, 0, 0,
+       0x61403e452900e2b0ull},
+  };
+  expect_fingerprints("multi-gpu", g, pinned, config, /*with_comm=*/true);
 }
 
 // Four private status arrays, the compressed all-gather and the per-device

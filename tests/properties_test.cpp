@@ -4,6 +4,10 @@
 // monotonicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
+
 #include "baselines/cpu_bfs.hpp"
 #include "bfs/validate.hpp"
 #include "enterprise/enterprise_bfs.hpp"
@@ -14,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "gpusim/device.hpp"
+#include "util/pool.hpp"
 #include "util/stats.hpp"
 
 namespace ent {
@@ -95,6 +100,246 @@ TEST_F(ValidatorRejection, CatchesVisitedWithoutParent) {
     }
   }
   EXPECT_FALSE(bfs::validate_tree(g_, g_, bad).ok);
+}
+
+// ---- validator's first failure at scale ---------------------------------------
+
+// validate_tree splits both passes over 65,536-vertex blocks. On a graph that
+// spans several blocks, the message must still name the first failing vertex
+// of the first failing pass, at any pool size. The messages were captured
+// from the serial validator.
+enum class Plant {
+  kNoParent,        // visited/parent disagreement
+  kParentRange,     // parent out of range
+  kUnvisitedParent,
+  kParentLevel,     // parent not one level shallower
+  kNonEdgeParent,   // tree edge missing from graph
+  kEndpointRange,   // edge endpoint out of range (pass 2)
+  kSkippedLevel,    // edge skips a level (pass 2)
+};
+
+struct ScaleCase {
+  const char* name;
+  std::vector<std::pair<Plant, double>> plants;  // kind, where (fraction of n)
+  const char* undirected;  // expected message on the Kronecker graph
+  const char* directed;    // ... and on the directed R-MAT graph
+};
+
+class ValidatorAtScale : public ::testing::Test {
+ protected:
+  struct Input {
+    Csr g;
+    std::optional<Csr> reverse;  // in-edges of a directed graph
+    bfs::BfsResult tree;
+    std::vector<std::uint8_t> has_child;
+
+    const Csr& in() const { return reverse ? *reverse : g; }
+  };
+
+  static Input make_input(Csr g) {
+    Input in{std::move(g), std::nullopt, {}, {}};
+    if (in.g.directed()) in.reverse.emplace(in.g.reversed());
+    vertex_t source = 0;
+    while (in.g.out_degree(source) < 8) ++source;
+    in.tree = baselines::cpu_bfs(in.g, source);
+    in.has_child.assign(in.g.num_vertices(), 0);
+    for (vertex_t v = 0; v < in.g.num_vertices(); ++v) {
+      if (in.tree.levels[v] > 0) in.has_child[in.tree.parents[v]] = 1;
+    }
+    return in;
+  }
+
+  static void SetUpTestSuite() {
+    graph::KroneckerParams k;
+    k.scale = 17;
+    k.edge_factor = 8;
+    k.seed = 17;
+    undirected_ = new Input(make_input(graph::generate_kronecker(k)));
+    graph::RmatParams r;
+    r.scale = 17;
+    r.edge_factor = 8;
+    r.seed = 18;
+    directed_ = new Input(make_input(graph::generate_rmat(r)));
+  }
+  static void TearDownTestSuite() {
+    delete undirected_;
+    delete directed_;
+  }
+
+  // Plants `kind` at the first eligible vertex at or after `from`. An
+  // adjacency corruption is recorded in `undo` so the caller can restore it.
+  static void plant(Input& in, bfs::BfsResult& bad, Plant kind, vertex_t from,
+                    std::vector<std::pair<std::size_t, vertex_t>>& undo) {
+    const vertex_t n = in.g.num_vertices();
+    const auto& lv = bad.levels;
+    for (vertex_t v = from; v < n; ++v) {
+      if (v == bad.source || lv[v] <= 0) continue;
+      switch (kind) {
+        case Plant::kNoParent:
+          bad.parents[v] = graph::kInvalidVertex;
+          return;
+        case Plant::kParentRange:
+          bad.parents[v] = n + 5;
+          return;
+        case Plant::kUnvisitedParent:
+          for (vertex_t u = 0; u < n; ++u) {
+            if (lv[u] < 0) {
+              bad.parents[v] = u;
+              return;
+            }
+          }
+          break;
+        case Plant::kParentLevel:
+          if (lv[v] >= 2) {
+            bad.parents[v] = bad.source;
+            return;
+          }
+          break;
+        case Plant::kNonEdgeParent: {
+          const auto nb = in.in().neighbors(v);
+          for (vertex_t p = 0; p < n; ++p) {
+            if (lv[p] == lv[v] - 1 &&
+                std::find(nb.begin(), nb.end(), p) == nb.end()) {
+              bad.parents[v] = p;
+              return;
+            }
+          }
+          break;
+        }
+        case Plant::kEndpointRange: {
+          // Corrupt a slot of v's out-list that is not v's own tree edge,
+          // so an undirected graph's pass 1 still accepts v.
+          const auto nb = in.g.neighbors(v);
+          const auto bytes = in.g.raw_adjacency_bytes();
+          for (std::size_t i = 0; i < nb.size(); ++i) {
+            if (nb[i] == bad.parents[v]) continue;
+            const auto offset = static_cast<std::size_t>(
+                reinterpret_cast<const std::byte*>(&nb[i]) - bytes.data());
+            undo.emplace_back(offset, nb[i]);
+            const vertex_t out_of_range = n + 7;
+            std::memcpy(bytes.data() + offset, &out_of_range,
+                        sizeof(out_of_range));
+            return;
+          }
+          break;
+        }
+        case Plant::kSkippedLevel: {
+          // Push a leaf one level deeper under a same-level in-neighbour:
+          // pass 1 still holds, and its old parent's edge now skips a level.
+          if (in.has_child[v] != 0) break;
+          for (const vertex_t p : in.in().neighbors(v)) {
+            if (p != v && lv[p] == lv[v]) {
+              bad.levels[v] = lv[v] + 1;
+              bad.parents[v] = p;
+              return;
+            }
+          }
+          break;
+        }
+      }
+    }
+    FAIL() << "no vertex to plant kind " << static_cast<int>(kind);
+  }
+
+  static void expect_message(Input& in, const ScaleCase& c,
+                             const char* want) {
+    SCOPED_TRACE(c.name);
+    bfs::BfsResult bad = in.tree;
+    std::vector<std::pair<std::size_t, vertex_t>> undo;
+    for (const auto& [kind, where] : c.plants) {
+      plant(in, bad, kind,
+            static_cast<vertex_t>(where * in.g.num_vertices()), undo);
+    }
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      util::ScopedHostPool pool(threads);
+      const auto report = bfs::validate_tree(in.g, in.in(), bad);
+      EXPECT_FALSE(report.ok) << threads << " threads";
+      EXPECT_EQ(report.error, want) << threads << " threads";
+    }
+    const auto bytes = in.g.raw_adjacency_bytes();
+    for (const auto& [offset, value] : undo) {
+      std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    }
+  }
+
+  static Input* undirected_;
+  static Input* directed_;
+};
+
+ValidatorAtScale::Input* ValidatorAtScale::undirected_ = nullptr;
+ValidatorAtScale::Input* ValidatorAtScale::directed_ = nullptr;
+
+const ScaleCase kScaleCases[] = {
+    // One violation of each kind, each in another part of the id space.
+    {"no parent", {{Plant::kNoParent, 0.9}},
+     "visited/parent disagreement (vertex 117965)",
+     "visited/parent disagreement (vertex 117965)"},
+    {"parent out of range", {{Plant::kParentRange, 0.7}},
+     "parent out of range (vertex 91751)",
+     "parent out of range (vertex 91750)"},
+    {"unvisited parent", {{Plant::kUnvisitedParent, 0.55}},
+     "unvisited parent (vertex 72092)",
+     "unvisited parent (vertex 72089)"},
+    {"parent level", {{Plant::kParentLevel, 0.3}},
+     "parent not one level shallower (vertex 39321)",
+     "parent not one level shallower (vertex 39321)"},
+    {"non-edge parent", {{Plant::kNonEdgeParent, 0.8}},
+     "tree edge missing from graph (vertex 104857)",
+     "tree edge missing from graph (vertex 104857)"},
+    {"endpoint out of range", {{Plant::kEndpointRange, 0.6}},
+     "edge endpoint out of range (vertex 78644)",
+     "edge endpoint out of range (vertex 78643)"},
+    {"skipped level", {{Plant::kSkippedLevel, 0.95}},
+     "edge skips a level (vertex 116122)",
+     "edge skips a level (vertex 107546)"},
+    // Pairs in one pass: the lower block's violation wins.
+    {"pass 1 pair", {{Plant::kNonEdgeParent, 0.85}, {Plant::kNoParent, 0.2}},
+     "visited/parent disagreement (vertex 26215)",
+     "visited/parent disagreement (vertex 26214)"},
+    {"pass 1 pair, one block",
+     {{Plant::kParentRange, 0.62}, {Plant::kUnvisitedParent, 0.58}},
+     "unvisited parent (vertex 76021)",
+     "unvisited parent (vertex 76021)"},
+    {"pass 2 pair",
+     {{Plant::kSkippedLevel, 0.75}, {Plant::kEndpointRange, 0.15}},
+     "edge endpoint out of range (vertex 19660)",
+     "edge endpoint out of range (vertex 19660)"},
+    {"pass 2 pair, reversed",
+     {{Plant::kEndpointRange, 0.9}, {Plant::kSkippedLevel, 0.1}},
+     "edge skips a level (vertex 104792)",
+     "edge skips a level (vertex 61823)"},
+    // One violation in each pass: pass 1 wins wherever the other sits.
+    {"both passes",
+     {{Plant::kEndpointRange, 0.05}, {Plant::kParentLevel, 0.9}},
+     "parent not one level shallower (vertex 117965)",
+     "parent not one level shallower (vertex 117965)"},
+    {"both passes, reversed",
+     {{Plant::kSkippedLevel, 0.4}, {Plant::kNonEdgeParent, 0.65}},
+     "tree edge missing from graph (vertex 85196)",
+     "tree edge missing from graph (vertex 85196)"},
+};
+
+TEST_F(ValidatorAtScale, AcceptsCorrectTreesAtEveryPoolSize) {
+  for (const Input* in : {undirected_, directed_}) {
+    ASSERT_GT(in->g.num_vertices(), 65536u);
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      util::ScopedHostPool pool(threads);
+      const auto report = bfs::validate_tree(in->g, in->in(), in->tree);
+      EXPECT_TRUE(report.ok) << report.error;
+    }
+  }
+}
+
+TEST_F(ValidatorAtScale, FirstFailureOnUndirectedGraph) {
+  for (const ScaleCase& c : kScaleCases) {
+    expect_message(*undirected_, c, c.undirected);
+  }
+}
+
+TEST_F(ValidatorAtScale, FirstFailureOnDirectedGraphWithReverse) {
+  for (const ScaleCase& c : kScaleCases) {
+    expect_message(*directed_, c, c.directed);
+  }
 }
 
 TEST_F(ValidatorRejection, CatchesLevelMismatch) {
