@@ -1,17 +1,44 @@
-// Host microbenchmarks for the expansion kernels and the full Enterprise
-// traversal: simulation throughput in edges/second.
+// Host microbenchmarks for the expansion kernels, classification, tree
+// validation and the full Enterprise traversal: simulation throughput in
+// edges/second. The pooled loops run at one thread and at every hardware
+// thread.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <numeric>
+#include <thread>
+
+#include "baselines/cpu_bfs.hpp"
+#include "bfs/validate.hpp"
 #include "enterprise/enterprise_bfs.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 #include "gpusim/device.hpp"
+#include "util/pool.hpp"
 #include "util/random.hpp"
 
 namespace {
 
 using namespace ent;
+using benchmark::internal::Benchmark;
+
+// Each first argument at one host pool thread and at every hardware thread.
+// Real time: the pool's other threads do not show in the caller's CPU time.
+void pool_args(Benchmark* b, std::initializer_list<int> firsts,
+               const char* first_name) {
+  const auto all = static_cast<std::int64_t>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  for (const int first : firsts) {
+    b->Args({first, 1});
+    if (all > 1) b->Args({first, all});
+  }
+  b->ArgNames({first_name, "threads"})
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime();
+}
 
 graph::Csr bench_graph(int scale) {
   graph::KroneckerParams p;
@@ -40,8 +67,10 @@ void BM_ExpandTopDownThread(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandTopDownThread)->Arg(12)->Arg(14);
 
+// Args: Kronecker scale, host pool threads.
 void BM_ExpandBottomUpWithCache(benchmark::State& state) {
   const graph::Csr g = bench_graph(static_cast<int>(state.range(0)));
+  const util::ScopedHostPool pool(static_cast<unsigned>(state.range(1)));
   sim::Device dev(sim::k40());
   enterprise::HubCache cache(1024);
   for (graph::vertex_t v = 0; v < 64; ++v) cache.insert(v);
@@ -62,7 +91,63 @@ void BM_ExpandBottomUpWithCache(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(queue.size()));
 }
-BENCHMARK(BM_ExpandBottomUpWithCache)->Arg(12)->Arg(14);
+BENCHMARK(BM_ExpandBottomUpWithCache)->Apply([](Benchmark* b) {
+  pool_args(b, {16, 18}, "scale");
+});
+
+// validate_tree on one BFS tree. Args: graph (0 = Kronecker 18, 1 = the
+// ROAD stand-in, 65,536 vertices), host pool threads.
+void BM_ValidateTree(benchmark::State& state) {
+  const graph::Csr g =
+      state.range(0) == 0 ? bench_graph(18)
+                          : graph::make_suite_graph("ROAD", {}).graph;
+  const util::ScopedHostPool pool(static_cast<unsigned>(state.range(1)));
+  graph::vertex_t source = 0;
+  while (g.out_degree(source) == 0) ++source;
+  const bfs::BfsResult tree = baselines::cpu_bfs(g, source);
+  for (auto _ : state) {
+    const bfs::ValidationReport report = bfs::validate_tree(g, g, tree);
+    if (!report.ok) state.SkipWithError(report.error.c_str());
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_ValidateTree)->Apply([](Benchmark* b) {
+  pool_args(b, {0, 1}, "road");
+});
+
+// road-deep's classify calls on one thread: 365 frontiers of 180 entries,
+// consecutive slices of the ROAD stand-in's BFS order, each one block.
+void BM_ClassifyRoadFrontiers(benchmark::State& state) {
+  const graph::Csr g = graph::make_suite_graph("ROAD", {}).graph;
+  const util::ScopedHostPool pool(1);
+  sim::Device dev(sim::k40());
+  const bfs::BfsResult tree = baselines::cpu_bfs(g, 0);
+  std::vector<graph::vertex_t> order(g.num_vertices());
+  std::iota(order.begin(), order.end(), graph::vertex_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::vertex_t a, graph::vertex_t b) {
+                     return tree.levels[a] < tree.levels[b];
+                   });
+  std::vector<std::vector<graph::vertex_t>> frontiers(365);
+  std::size_t next = 0;
+  for (auto& frontier : frontiers) {
+    for (int i = 0; i < 180; ++i) {
+      frontier.push_back(order[next++ % order.size()]);
+    }
+  }
+  for (auto _ : state) {
+    for (const auto& frontier : frontiers) {
+      sim::KernelRecord rec;
+      benchmark::DoNotOptimize(
+          enterprise::classify_frontiers(g, frontier, dev.memory(), rec));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          365 * 180);
+}
+BENCHMARK(BM_ClassifyRoadFrontiers)->Unit(benchmark::kMicrosecond);
 
 void BM_FullEnterpriseBfs(benchmark::State& state) {
   const graph::Csr g = bench_graph(static_cast<int>(state.range(0)));

@@ -1,8 +1,18 @@
 #include "enterprise/classify.hpp"
 
+#include <algorithm>
+#include <memory>
+
 #include "enterprise/cost_constants.hpp"
+#include "util/pool.hpp"
 
 namespace ent::enterprise {
+namespace {
+
+// Frontier entries per block of the pooled classification.
+constexpr std::size_t kClassifyBlock = 16384;
+
+}  // namespace
 
 const char* to_string(Granularity g) {
   switch (g) {
@@ -37,14 +47,62 @@ ClassifiedQueues classify_frontiers(const graph::Csr& g,
                                     const sim::MemoryModel& mm,
                                     sim::KernelRecord& record,
                                     const ClassifyThresholds& t) {
+  using graph::vertex_t;
+  const vertex_t n = g.num_vertices();
+  const graph::edge_t* const rows = g.row_offsets().data();
+  // An injected flip can push a queue entry out of range; classify it as
+  // degree-0 instead of reading past the offset table (the expansion
+  // kernels carry the same guard, and the integrity audit flags it).
+  const auto class_of = [n, rows, t](vertex_t v) {
+    return static_cast<std::size_t>(
+        classify_degree(v < n ? rows[v + 1] - rows[v] : 0, t));
+  };
+  // Each block sorts its entries into the four classes, stably; each class
+  // then concatenates the blocks' shares in block order, so it keeps the
+  // frontier's order. Block 0 writes straight into the classes. A later
+  // block writes class c into its own scratch region c, as long as the
+  // block itself.
   ClassifiedQueues out;
-  const graph::vertex_t n = g.num_vertices();
-  for (graph::vertex_t v : frontier) {
-    // An injected flip can push a queue entry out of range; classify it as
-    // degree-0 instead of reading past the offset table (the expansion
-    // kernels carry the same guard, and the integrity audit flags it).
-    const graph::edge_t degree = v < n ? g.out_degree(v) : 0;
-    out.of(classify_degree(degree, t)).push_back(v);
+  const std::size_t count = frontier.size();
+  const std::size_t head = std::min(count, kClassifyBlock);
+  for (auto& q : out.queues) q.reserve(head);
+  const std::size_t tail = count - head;
+  const auto scratch = tail == 0 ? nullptr
+                                 : std::make_unique_for_overwrite<vertex_t[]>(
+                                       4 * tail);
+  std::vector<std::array<std::size_t, 4>> sizes(
+      (tail + kClassifyBlock - 1) / kClassifyBlock);
+  util::host_pool().for_each_block(
+      count, kClassifyBlock, [&](std::size_t begin, std::size_t end) {
+        // Locals, so the stores below cannot force the captures to reload.
+        const auto classify = class_of;
+        const vertex_t* const ids = frontier.data();
+        if (begin == 0) {
+          for (std::size_t i = 0; i < end; ++i) {
+            out.queues[classify(ids[i])].push_back(ids[i]);
+          }
+          return;
+        }
+        const std::size_t len = end - begin;
+        vertex_t* const region = scratch.get() + 4 * (begin - head);
+        std::array<std::size_t, 4> size{};
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t c = classify(ids[i]);
+          region[c * len + size[c]++] = ids[i];
+        }
+        sizes[begin / kClassifyBlock - 1] = size;
+      });
+  for (std::size_t c = 0; c < 4; ++c) {
+    std::size_t total = out.queues[c].size();
+    for (const auto& size : sizes) total += size[c];
+    out.queues[c].reserve(total);
+    for (std::size_t b = 0; b < sizes.size(); ++b) {
+      const std::size_t begin = head + b * kClassifyBlock;
+      const std::size_t len = std::min(count, begin + kClassifyBlock) - begin;
+      const vertex_t* const share =
+          scratch.get() + 4 * (begin - head) + c * len;
+      out.queues[c].insert(out.queues[c].end(), share, share + sizes[b][c]);
+    }
   }
   // Cost: one balanced pass over the frontier — load vertex id + two row
   // offsets (degree), store into one of four bins.

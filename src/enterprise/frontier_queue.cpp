@@ -1,14 +1,111 @@
 #include "enterprise/frontier_queue.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "enterprise/cost_constants.hpp"
 #include "util/assert.hpp"
+#include "util/pool.hpp"
 
 namespace ent::enterprise {
 
 using graph::vertex_t;
 using sim::AccessPattern;
+
+namespace {
+
+// Items per block of the pooled status scans.
+constexpr std::size_t kScanBlock = 16384;
+
+// The unvisited vertices among item(0) .. item(count - 1), in item order.
+// Visited ones at refill.just_visited_level that are hubs go into the cache,
+// in item order too, since the direct-mapped cache keeps the last writer;
+// `cache_inserts` counts them. Out-of-range items are dropped: never on valid
+// data, they keep an injected silent flip in a queue from reading past the
+// status array (the integrity audit catches the flip itself).
+//
+// Block 0 writes straight into the queue and the cache. A later block writes
+// into scratch as long as itself, kept vertices from the front and hubs from
+// the back; after the loop its kept vertices are appended and its hubs
+// inserted, in block order.
+template <class Item>
+std::vector<vertex_t> unvisited(std::size_t count, Item item,
+                                const StatusArray& status,
+                                const HubRefill& refill,
+                                std::uint64_t& cache_inserts) {
+  ENT_ASSERT(refill.cache == nullptr || refill.hub_flags != nullptr);
+  const vertex_t n = status.size();
+  // No status changes during queue generation, so plain reads are safe.
+  const std::int32_t* const levels = status.data().data();
+  const bool refilling = refill.cache != nullptr;
+  const std::int32_t hub_level = refill.just_visited_level;
+  const std::uint8_t* const hub_flags =
+      refilling ? refill.hub_flags->data() : nullptr;
+  // Captures by value: the keep and hub stores cannot force them to reload.
+  const auto sort_block = [item, n, levels, refilling, hub_level, hub_flags](
+                              std::size_t begin, std::size_t end, auto&& keep,
+                              auto&& hub) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const vertex_t v = item(i);
+      if (v >= n) continue;
+      const std::int32_t level = levels[v];
+      if (level == kUnvisited) {
+        keep(v);
+      } else if (refilling && level == hub_level && hub_flags[v] != 0) {
+        // v left the unvisited set at that level; if it is a hub it is a
+        // likely parent for the next level's frontiers.
+        hub(v);
+      }
+    }
+  };
+  std::vector<vertex_t> queue;
+  const std::size_t head = std::min(count, kScanBlock);
+  queue.reserve(head);
+  const std::size_t tail = count - head;
+  const auto scratch =
+      tail == 0 ? nullptr : std::make_unique_for_overwrite<vertex_t[]>(tail);
+  struct Share {
+    std::size_t kept = 0;
+    std::size_t hubs = 0;
+  };
+  std::vector<Share> shares((tail + kScanBlock - 1) / kScanBlock);
+  util::host_pool().for_each_block(
+      count, kScanBlock, [&](std::size_t begin, std::size_t end) {
+        if (begin == 0) {
+          sort_block(
+              begin, end, [&](vertex_t v) { queue.push_back(v); },
+              [&](vertex_t v) {
+                refill.cache->insert(v);
+                ++cache_inserts;
+              });
+          return;
+        }
+        vertex_t* const first = scratch.get() + (begin - head);
+        vertex_t* const last = first + (end - begin);
+        Share share;
+        sort_block(
+            begin, end, [&](vertex_t v) { first[share.kept++] = v; },
+            [&](vertex_t v) { *(last - 1 - share.hubs++) = v; });
+        shares[begin / kScanBlock - 1] = share;
+      });
+  std::size_t total = queue.size();
+  for (const Share& share : shares) total += share.kept;
+  queue.reserve(total);
+  for (std::size_t b = 0; b < shares.size(); ++b) {
+    const std::size_t begin = b * kScanBlock;
+    vertex_t* const first = scratch.get() + begin;
+    queue.insert(queue.end(), first, first + shares[b].kept);
+    vertex_t* const last = first + (std::min(tail, begin + kScanBlock) - begin);
+    for (std::size_t h = 1; h <= shares[b].hubs; ++h) {
+      refill.cache->insert(*(last - h));
+    }
+    cache_inserts += shares[b].hubs;
+  }
+  return queue;
+}
+
+}  // namespace
 
 FrontierQueueGenerator::FrontierQueueGenerator(const sim::MemoryModel& mm,
                                                unsigned scan_threads)
@@ -122,19 +219,12 @@ std::vector<vertex_t> FrontierQueueGenerator::direction_switch(
 std::vector<vertex_t> FrontierQueueGenerator::direction_switch(
     const StatusArray& status, const HubRefill& refill, vertex_t begin,
     vertex_t end, sim::KernelRecord& record, ScanLayout layout) const {
-  ENT_ASSERT(refill.cache == nullptr || refill.hub_flags != nullptr);
-  std::vector<vertex_t> queue;
+  ENT_ASSERT(begin <= end && end <= status.size());
   std::uint64_t cache_inserts = 0;
-  for (vertex_t v = begin; v < end; ++v) {
-    if (!status.visited(v)) {
-      queue.push_back(v);
-    } else if (refill.cache != nullptr &&
-               status.level(v) == refill.just_visited_level &&
-               (*refill.hub_flags)[v] != 0) {
-      refill.cache->insert(v);
-      ++cache_inserts;
-    }
-  }
+  std::vector<vertex_t> queue = unvisited(
+      end - begin,
+      [begin](std::size_t i) { return begin + static_cast<vertex_t>(i); },
+      status, refill, cache_inserts);
   // Chunked scan: thread t reads one contiguous block, so a warp touches 32
   // scattered lines per instruction — strided, ~2.4x the scan time — but
   // each bin (and hence the queue) comes out sorted. The interleaved layout
@@ -150,27 +240,10 @@ std::vector<vertex_t> FrontierQueueGenerator::direction_switch(
 std::vector<vertex_t> FrontierQueueGenerator::bottom_up_filter(
     std::span<const vertex_t> previous, const StatusArray& status,
     const HubRefill& refill, sim::KernelRecord& record) const {
-  ENT_ASSERT(refill.cache == nullptr || refill.hub_flags != nullptr);
-  std::vector<vertex_t> queue;
-  queue.reserve(previous.size());
   std::uint64_t cache_inserts = 0;
-  const vertex_t n = status.size();
-  for (vertex_t v : previous) {
-    // Bounds guard: never fires on a valid queue, keeps an injected silent
-    // flip in `previous` from reading past the status array. The corrupted
-    // entry is dropped here; the integrity audit catches the flip itself.
-    if (v >= n) continue;
-    if (!status.visited(v)) {
-      queue.push_back(v);
-    } else if (refill.cache != nullptr &&
-               status.level(v) == refill.just_visited_level &&
-               (*refill.hub_flags)[v] != 0) {
-      // v left the unvisited set this level; if it is a hub it is a likely
-      // parent for next level's frontiers.
-      refill.cache->insert(v);
-      ++cache_inserts;
-    }
-  }
+  std::vector<vertex_t> queue = unvisited(
+      previous.size(), [previous](std::size_t i) { return previous[i]; },
+      status, refill, cache_inserts);
   // Only the (fast-shrinking) previous queue is rescanned, not the whole
   // status array; the queue entries are sorted but sparse, so the status
   // gather is sector-granular.

@@ -29,9 +29,13 @@ bool HubCache::insert(graph::vertex_t v) {
   return clean;
 }
 
+bool HubCache::holds(graph::vertex_t v) const {
+  return slots_[slot_for(v)] == v;
+}
+
 bool HubCache::contains(graph::vertex_t v) const {
   ++probes_;
-  const bool hit = slots_[slot_for(v)] == v;
+  const bool hit = holds(v);
   if (hit) ++hits_;
   return hit;
 }

@@ -37,6 +37,15 @@ class HubCache {
 
   bool contains(graph::vertex_t v) const;
 
+  // contains() without the statistics, for lookups made by concurrent blocks
+  // of one kernel; the kernel reports their totals once, through
+  // count_probes(), after the blocks finish.
+  bool holds(graph::vertex_t v) const;
+  void count_probes(std::uint64_t probes, std::uint64_t hits) {
+    probes_ += probes;
+    hits_ += hits;
+  }
+
   // Occupied slots (diagnostics).
   std::size_t occupancy() const;
 

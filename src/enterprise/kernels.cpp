@@ -5,6 +5,7 @@
 #include "enterprise/cost_constants.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
+#include "util/pool.hpp"
 
 namespace ent::enterprise {
 namespace {
@@ -31,6 +32,30 @@ struct MemTally {
       adjacency_short += loads;
     }
   }
+
+  void add(const MemTally& t) {
+    queue_loads += t.queue_loads;
+    offset_loads += t.offset_loads;
+    adjacency_short += t.adjacency_short;
+    adjacency_long += t.adjacency_long;
+    status_probes += t.status_probes;
+    visits += t.visits;
+    cache_probes += t.cache_probes;
+  }
+};
+
+// Queue entries per block of the pooled bottom-up expansion. Whole warps, so
+// each block's Thread-granularity warps close at its end, where the serial
+// launch's do.
+constexpr std::size_t kBottomUpBlock = 1024;
+
+// One block's share of a bottom-up launch. Merged in block order, the shares
+// give the serial launch's record field for field.
+struct BottomUpPart {
+  ExpandOutput out;
+  MemTally tally;
+  sim::KernelRecord charges;  // SIMT issue and critical-path charges
+  std::uint64_t cache_hits = 0;
 };
 
 void record_tally(const MemTally& t, Granularity gran, QueueOrder order,
@@ -166,76 +191,117 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
                               Granularity gran, std::int32_t next_level,
                               HubCache* cache, const sim::MemoryModel& mm,
                               sim::KernelRecord& record, QueueOrder order) {
-  ExpandOutput out;
-  MemTally tally;
-  tally.queue_loads = queue.size();
-  tally.offset_loads = queue.size();
-
-  sim::WarpAccumulator thread_acc(mm.spec().warp_size);
   const vertex_t n = in_edges.num_vertices();
-  for (vertex_t v : queue) {
-    // Bounds guard against injected frontier flips; never fires on valid
-    // data (see expand_top_down).
-    if (v >= n) continue;
-    // §4.3 inspection order, at fetch granularity: each chunk of neighbor
-    // ids is loaded once, checked against the shared-memory hub cache
-    // first (a hit adopts the hub and skips every global status read for
-    // this chunk and all later ones), and only then probed in global
-    // status with early exit.
-    constexpr edge_t kChunk = 8;  // ids per 32 B adjacency sector
-    const auto neighbors = in_edges.neighbors(v);
-    const auto degree = static_cast<edge_t>(neighbors.size());
-    edge_t adjacency_loads = 0;
-    std::uint64_t cache_probes = 0;
-    std::uint64_t status_loads = 0;
-    bool adopted = false;
-    for (edge_t base = 0; base < degree && !adopted; base += kChunk) {
-      const edge_t end = std::min(base + kChunk, degree);
-      adjacency_loads += end - base;
-      if (cache != nullptr) {
-        for (edge_t i = base; i < end && !adopted; ++i) {
-          ++cache_probes;
-          if (cache->contains(neighbors[i])) {
-            // Cache holds only vertices visited at the preceding level, so
-            // this neighbor is a valid parent; no status read is needed.
+  const unsigned warp_size = mm.spec().warp_size;
+  ENT_ASSERT(kBottomUpBlock % warp_size == 0);
+  // The blocks may run at once. The result does not depend on their order:
+  // the hub cache is only read here, a vertex adopts only a parent below
+  // `next_level` (never one adopted in this launch), and each queue entry
+  // writes only its own status and parent.
+  const auto expand_block = [&](std::size_t begin, std::size_t end,
+                                BottomUpPart& part) {
+    ExpandOutput out;
+    MemTally tally;
+    sim::KernelRecord charges;
+    std::uint64_t cache_hits = 0;
+    sim::WarpAccumulator thread_acc(warp_size);
+    for (std::size_t q = begin; q < end; ++q) {
+      const vertex_t v = queue[q];
+      // Bounds guard against injected frontier flips; never fires on valid
+      // data (see expand_top_down).
+      if (v >= n) continue;
+      // §4.3 inspection order, at fetch granularity: each chunk of neighbor
+      // ids is loaded once, checked against the shared-memory hub cache
+      // first (a hit adopts the hub and skips every global status read for
+      // this chunk and all later ones), and only then probed in global
+      // status with early exit.
+      constexpr edge_t kChunk = 8;  // ids per 32 B adjacency sector
+      const auto neighbors = in_edges.neighbors(v);
+      const auto degree = static_cast<edge_t>(neighbors.size());
+      edge_t adjacency_loads = 0;
+      std::uint64_t cache_probes = 0;
+      std::uint64_t status_loads = 0;
+      bool adopted = false;
+      for (edge_t base = 0; base < degree && !adopted; base += kChunk) {
+        const edge_t chunk_end = std::min(base + kChunk, degree);
+        adjacency_loads += chunk_end - base;
+        if (cache != nullptr) {
+          for (edge_t i = base; i < chunk_end && !adopted; ++i) {
+            ++cache_probes;
+            if (cache->holds(neighbors[i])) {
+              // Cache holds only vertices visited at the preceding level, so
+              // this neighbor is a valid parent; no status read is needed.
+              status.visit(v, next_level);
+              parents[v] = neighbors[i];
+              adopted = true;
+              ++cache_hits;
+            }
+          }
+          if (adopted) break;
+        }
+        for (edge_t i = base; i < chunk_end && !adopted; ++i) {
+          ++status_loads;
+          if (neighbors[i] >= n) continue;  // injected adjacency flip
+          const std::int32_t lu = status.level(neighbors[i]);
+          if (lu != kUnvisited && lu < next_level) {
             status.visit(v, next_level);
             parents[v] = neighbors[i];
             adopted = true;
           }
         }
-        if (adopted) break;
       }
-      for (edge_t i = base; i < end && !adopted; ++i) {
-        ++status_loads;
-        if (neighbors[i] >= n) continue;  // injected adjacency flip
-        const std::int32_t lu = status.level(neighbors[i]);
-        if (lu != kUnvisited && lu < next_level) {
-          status.visit(v, next_level);
-          parents[v] = neighbors[i];
-          adopted = true;
-        }
-      }
-    }
-    out.edges_inspected += adjacency_loads;
-    if (adopted) ++out.newly_visited;
-    tally.add_adjacency(adjacency_loads, degree);
-    tally.status_probes += status_loads;
-    tally.cache_probes += cache_probes;
-    if (adopted) ++tally.visits;
+      out.edges_inspected += adjacency_loads;
+      if (adopted) ++out.newly_visited;
+      tally.add_adjacency(adjacency_loads, degree);
+      tally.status_probes += status_loads;
+      tally.cache_probes += cache_probes;
+      if (adopted) ++tally.visits;
 
-    const std::uint64_t work = adjacency_loads * kInspectCycles +
-                               status_loads * kInspectCycles +
-                               cache_probes * kCacheProbeCycles +
-                               (adopted ? kVisitCycles : 0);
-    if (gran == Granularity::kThread) {
-      thread_acc.add_thread(kExpandSetupCycles + work);
-      record.critical_cycles = std::max(record.critical_cycles,
-                                        chain_cycles(mm.spec(), work, 1));
-    } else {
-      charge_group_work(record, mm.spec(), gran, work);
+      const std::uint64_t work = adjacency_loads * kInspectCycles +
+                                 status_loads * kInspectCycles +
+                                 cache_probes * kCacheProbeCycles +
+                                 (adopted ? kVisitCycles : 0);
+      if (gran == Granularity::kThread) {
+        thread_acc.add_thread(kExpandSetupCycles + work);
+        charges.critical_cycles = std::max(
+            charges.critical_cycles, chain_cycles(mm.spec(), work, 1));
+      } else {
+        charge_group_work(charges, mm.spec(), gran, work);
+      }
     }
+    thread_acc.charge(charges);
+    part = {out, tally, std::move(charges), cache_hits};
+  };
+
+  // An out-of-range entry takes no lane, which would shift the warps of
+  // every later block; a queue holding one (only an injected flip puts one
+  // there) runs as one block.
+  std::size_t block = kBottomUpBlock;
+  if (gran == Granularity::kThread && queue.size() > block &&
+      std::any_of(queue.begin(), queue.end(),
+                  [n](vertex_t v) { return v >= n; })) {
+    block = queue.size();
   }
-  thread_acc.charge(record);
+  BottomUpPart first;
+  std::vector<BottomUpPart> rest;
+  util::host_pool().for_each_part(queue.size(), block, first, rest,
+                                  expand_block);
+
+  ExpandOutput out = first.out;
+  MemTally tally = first.tally;
+  record.add(first.charges);
+  std::uint64_t cache_hits = first.cache_hits;
+  for (const BottomUpPart& part : rest) {
+    out.newly_visited += part.out.newly_visited;
+    out.edges_inspected += part.out.edges_inspected;
+    tally.add(part.tally);
+    record.add(part.charges);
+    cache_hits += part.cache_hits;
+  }
+  if (cache != nullptr) cache->count_probes(tally.cache_probes, cache_hits);
+  tally.queue_loads = queue.size();
+  tally.offset_loads = queue.size();
+  // Once for the whole launch: transaction counts round up on every call.
   record_tally(tally, gran, order, mm, record);
   return out;
 }

@@ -24,7 +24,9 @@ LevelLoop::LevelLoop(const graph::Csr& g, const graph::SegmentDigests& digests,
       audits_on_(options.integrity.audits_active()),
       scrubs_on_(options.integrity.scrubs_active()),
       audit_rng_(options.integrity.audit_seed ^
-                 static_cast<std::uint64_t>(source) ^ traits.audit_salt) {}
+                 static_cast<std::uint64_t>(source) ^ traits.audit_salt) {
+  if (flips_armed_) in_order_.emplace();
+}
 
 const bfs::LevelCheckpoint* LevelLoop::resume() {
   const bfs::LevelCheckpoint* cp = nullptr;

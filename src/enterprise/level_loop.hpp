@@ -8,6 +8,7 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "enterprise/status_array.hpp"
 #include "gpusim/fault.hpp"
 #include "graph/digest.hpp"
+#include "util/pool.hpp"
 #include "util/random.hpp"
 
 namespace ent::bfs {
@@ -104,7 +106,10 @@ class LevelLoop {
   SplitMix64& audit_rng() { return audit_rng_; }
 
   // Whether the fault plan carries flip rules. Only a full status scan
-  // builds a top-down queue that holds a flipped status byte.
+  // builds a top-down queue that holds a flipped status byte. A run with
+  // flip rules runs its pooled loops inline, in block order: a flipped queue
+  // can hold a vertex twice, and a flipped status can make a visited vertex
+  // look queued, so concurrent blocks would race on it.
   bool flips_armed() const { return flips_armed_; }
 
   // The level bodies' counters: enterprise.queue.<granularity> and
@@ -141,6 +146,7 @@ class LevelLoop {
   graph::vertex_t source_;
   DriverTraits traits_;
   bool flips_armed_;
+  std::optional<util::InlineScope> in_order_;  // held while flips_armed_
   bool audits_on_;
   bool scrubs_on_;
   SplitMix64 audit_rng_;

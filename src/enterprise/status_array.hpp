@@ -4,6 +4,7 @@
 // exceed 255 levels, and account memory traffic at the paper's 1 byte.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -31,9 +32,17 @@ class StatusArray {
     return static_cast<graph::vertex_t>(levels_.size());
   }
 
-  std::int32_t level(graph::vertex_t v) const { return levels_[v]; }
-  bool visited(graph::vertex_t v) const { return levels_[v] != kUnvisited; }
-  void visit(graph::vertex_t v, std::int32_t level) { levels_[v] = level; }
+  // Relaxed atomic accesses, which compile to plain moves on x86: blocks of
+  // a pooled bottom-up expansion each write their own vertices' statuses
+  // while reading their neighbours'.
+  std::int32_t level(graph::vertex_t v) const {
+    return std::atomic_ref(const_cast<std::int32_t&>(levels_[v]))
+        .load(std::memory_order_relaxed);
+  }
+  bool visited(graph::vertex_t v) const { return level(v) != kUnvisited; }
+  void visit(graph::vertex_t v, std::int32_t level) {
+    std::atomic_ref(levels_[v]).store(level, std::memory_order_relaxed);
+  }
 
   std::span<const std::int32_t> data() const { return levels_; }
   std::vector<std::int32_t> take() && { return std::move(levels_); }

@@ -14,6 +14,7 @@
 #include "bfs/resilient.hpp"
 #include "bfs/validate.hpp"
 #include "obs/trace_sink.hpp"
+#include "util/pool.hpp"
 #include "util/random.hpp"
 
 namespace ent::serve {
@@ -402,6 +403,10 @@ void BfsService::reject(Pending&& p, RejectReason reason,
 }
 
 void BfsService::worker_main(Worker& w) {
+  // Each request runs on its worker's thread alone: the engines' and the
+  // validator's pooled loops run inline here, so workers never queue on the
+  // host pool behind one another.
+  const util::InlineScope one_thread;
   for (;;) {
     Pending p;
     bool have = false;

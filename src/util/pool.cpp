@@ -4,20 +4,24 @@
 #include <atomic>
 #include <exception>
 #include <limits>
+#include <utility>
 
 namespace ent::util {
 namespace {
 
-// True while this thread runs a chunk; a nested for_each then runs inline.
-thread_local bool t_in_chunk = false;
+// True while this thread runs a chunk or holds an InlineScope; a for_each
+// then runs inline.
+thread_local bool t_inline = false;
 
 std::atomic<HostPool*> g_scoped_pool{nullptr};
 
 }  // namespace
 
 struct HostPool::Job {
-  std::size_t chunks = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
+  Job(std::size_t n, FunctionRef<void(std::size_t)> f) : chunks(n), body(f) {}
+
+  std::size_t chunks;
+  FunctionRef<void(std::size_t)> body;
   std::atomic<std::size_t> next{0};
   unsigned active = 0;  // workers inside run(); guarded by HostPool::mutex_
   std::mutex error_mutex;
@@ -26,12 +30,11 @@ struct HostPool::Job {
 
   // Claims and runs chunks until none is left.
   void run() {
-    const bool outer = t_in_chunk;
-    t_in_chunk = true;
+    const bool outer = std::exchange(t_inline, true);
     for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
          c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
-        (*body)(c);
+        body(c);
       } catch (...) {
         std::lock_guard lock(error_mutex);
         if (c < failed_chunk) {
@@ -40,7 +43,7 @@ struct HostPool::Job {
         }
       }
     }
-    t_in_chunk = outer;
+    t_inline = outer;
   }
 };
 
@@ -92,11 +95,9 @@ void HostPool::worker_loop() {
 }
 
 void HostPool::for_each(std::size_t chunks,
-                        const std::function<void(std::size_t)>& body) {
-  Job job;
-  job.chunks = chunks;
-  job.body = &body;
-  if (workers_.empty() || chunks <= 1 || t_in_chunk) {
+                        FunctionRef<void(std::size_t)> body) {
+  Job job(chunks, body);
+  if (workers_.empty() || chunks <= 1 || t_inline) {
     job.run();
   } else {
     std::lock_guard submit(submit_mutex_);
@@ -123,6 +124,10 @@ HostPool& host_pool() {
   static HostPool pool(std::max(1u, std::thread::hardware_concurrency()));
   return pool;
 }
+
+InlineScope::InlineScope() : previous_(std::exchange(t_inline, true)) {}
+
+InlineScope::~InlineScope() { t_inline = previous_; }
 
 ScopedHostPool::ScopedHostPool(unsigned threads)
     : pool_(threads),

@@ -9,21 +9,57 @@
 // A pool of one thread is the serial path.
 //
 // Idle threads block on a condition variable and never spin, so code that
-// does not call the pool pays nothing for it. Bodies should not allocate:
-// callers size their scratch before the call, which keeps pool threads from
-// creating allocator arenas of their own.
+// does not call the pool pays nothing for it. Neither a call nor its bodies
+// allocate: callers size their scratch before the call, which keeps pool
+// threads from creating allocator arenas of their own.
+//
+// A thread that holds an InlineScope, or that is running a chunk, runs every
+// for_each inline, all chunks in chunk order. Loops whose result would depend
+// on the order chunks run in (a queue holding a vertex twice) and callers that
+// must stay on one thread (serve workers) take that path.
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ent::util {
+
+template <class Signature>
+class FunctionRef;
+
+// A non-owning reference to a callable: two pointers, never an allocation.
+// The callable must outlive every call made through the reference.
+template <class R, class... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <class F>
+    requires(!std::same_as<std::remove_cvref_t<F>, FunctionRef> &&
+             std::invocable<F&, Args...>)
+  FunctionRef(F&& f)  // NOLINT: implicit, like std::function
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
 
 class HostPool {
  public:
@@ -36,18 +72,37 @@ class HostPool {
   unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
   // Runs body(c) once for each c in [0, chunks). Safe to call from several
-  // threads at once; a call made from inside a chunk runs inline on its
-  // thread. If chunks throw, every chunk still runs, and the exception of the
-  // lowest-numbered failing chunk is rethrown.
-  void for_each(std::size_t chunks,
-                const std::function<void(std::size_t)>& body);
+  // threads at once; a call made from inside a chunk or under an
+  // InlineScope runs inline on its thread. If chunks throw, every chunk
+  // still runs, and the exception of the lowest-numbered failing chunk is
+  // rethrown.
+  void for_each(std::size_t chunks, FunctionRef<void(std::size_t)> body);
 
   // for_each over [0, count) cut into fixed blocks of `block` items, the
-  // last possibly shorter: body(begin, end) runs once per block.
+  // last possibly shorter: body(begin, end) runs once per block. An input of
+  // one block runs on the calling thread without entering the pool.
   template <class Body>
   void for_each_block(std::size_t count, std::size_t block, Body&& body) {
+    if (count <= block) {
+      if (count != 0) body(std::size_t{0}, count);
+      return;
+    }
     for_each((count + block - 1) / block, [&](std::size_t c) {
       body(c * block, std::min(count, (c + 1) * block));
+    });
+  }
+
+  // for_each_block with one partial result per block: block 0 works on
+  // `first` and block b >= 1 on rest[b - 1], which is sized here, before the
+  // call; body(begin, end, part). Merging `first` then `rest` in order gives
+  // the same result at any pool size. An input of one block leaves `rest`
+  // empty and allocates nothing.
+  template <class Part, class Body>
+  void for_each_part(std::size_t count, std::size_t block, Part& first,
+                     std::vector<Part>& rest, Body&& body) {
+    rest.resize(count > block ? (count - 1) / block : 0);
+    for_each_block(count, block, [&](std::size_t begin, std::size_t end) {
+      body(begin, end, begin == 0 ? first : rest[begin / block - 1]);
     });
   }
 
@@ -70,6 +125,20 @@ class HostPool {
 // The process-wide pool, created on first use with
 // std::thread::hardware_concurrency() threads.
 HostPool& host_pool();
+
+// While one lives, every for_each on its thread runs inline, all chunks in
+// chunk order on the calling thread. Scopes nest; each restores the state it
+// found.
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 // Seam for tests and benchmarks: host_pool() returns a pool of `threads`
 // threads while this object lives.

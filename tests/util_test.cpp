@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +19,21 @@
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+
+// Every allocation through global operator new, on any thread: the pool
+// tests check that a call allocates nothing. Out of line, so the compiler
+// does not pair an inlined free() with a new-expression.
+std::atomic<std::size_t> g_allocations{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ent {
 namespace {
@@ -360,6 +378,59 @@ TEST_P(HostPoolTest, ConcurrentCallersBothFinish) {
   for (const auto& r : runs) EXPECT_EQ(r.load(), 20);
 }
 
+TEST_P(HostPoolTest, CallAllocatesNothing) {
+  util::HostPool pool(GetParam());
+  std::vector<std::uint64_t> sums(64, 0);
+  // The body captures 40 bytes, more than std::function holds without
+  // allocating.
+  std::uint64_t a = 1, b = 2, c = 3;
+  const auto call = [&] {
+    pool.for_each_block(64 * 1000, 1000,
+                        [&, a, b, c](std::size_t begin, std::size_t end) {
+                          sums[begin / 1000] = begin * a + end * b + c;
+                        });
+  };
+  call();  // one-time runtime set-up on first use is not the pool's
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 10; ++i) call();
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(sums[1], 1000 * a + 2000 * b + c);
+}
+
+TEST_P(HostPoolTest, InlineScopeRunsChunksOnCallerInOrder) {
+  util::ScopedHostPool scoped(GetParam());
+  const util::InlineScope scope;
+  std::vector<std::size_t> order;
+  order.reserve(100);
+  const auto self = std::this_thread::get_id();
+  bool foreign = false;
+  util::host_pool().for_each(100, [&](std::size_t c) {
+    foreign = foreign || std::this_thread::get_id() != self;
+    order.push_back(c);
+  });
+  EXPECT_FALSE(foreign);
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
+
+// True when two chunks of one for_each run at the same time, which takes two
+// threads: each chunk waits (boundedly) for the other to arrive.
+bool chunks_overlap(util::HostPool& pool) {
+  std::atomic<int> arrived{0};
+  std::atomic<bool> overlapped{false};
+  pool.for_each(2, [&](std::size_t) {
+    ++arrived;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (arrived.load() == 2) overlapped = true;
+  });
+  return overlapped.load();
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, HostPoolTest, ::testing::Values(1u, 2u, 4u, 7u));
 
 std::size_t live_threads() {
@@ -390,6 +461,34 @@ TEST(HostPool, SizeOneStartsNoThread) {
   // At least: a sanitizer runtime may start a helper with the first thread.
   util::HostPool pool(3);
   EXPECT_GE(live_threads(), before + 2);
+}
+
+TEST(HostPool, NestedInlineScopesRestoreThePoolPath) {
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    util::ScopedHostPool scoped(threads);
+    {
+      const util::InlineScope outer;
+      { const util::InlineScope inner; }
+      std::atomic<int> foreign{0};
+      const auto self = std::this_thread::get_id();
+      util::host_pool().for_each(64, [&](std::size_t) {
+        if (std::this_thread::get_id() != self) ++foreign;
+      });
+      EXPECT_EQ(foreign.load(), 0) << "the outer scope still holds";
+    }
+    EXPECT_TRUE(chunks_overlap(util::host_pool())) << threads << " threads";
+  }
+}
+
+TEST(HostPool, ThreadWithoutScopeStillUsesPool) {
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    util::ScopedHostPool scoped(threads);
+    const util::InlineScope scope;  // this thread's only
+    bool overlapped = false;
+    std::thread other([&] { overlapped = chunks_overlap(util::host_pool()); });
+    other.join();
+    EXPECT_TRUE(overlapped) << threads << " threads";
+  }
 }
 
 TEST(HostPool, ScopedPoolReplacesProcessPoolForItsScope) {
