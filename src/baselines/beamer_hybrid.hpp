@@ -14,8 +14,9 @@ struct BeamerOptions {
   double beta = 18.0;
 };
 
-// `in_edges` is the reverse CSR (pass `g` when undirected). time_ms is host
-// wall time; level_trace carries frontier sizes, directions, and alpha.
+// `in_edges` is the in-edge CSR, g.in_edges() (`g` itself when undirected).
+// time_ms is host wall time; level_trace carries frontier sizes,
+// directions, and alpha.
 bfs::BfsResult beamer_hybrid_bfs(const graph::Csr& g,
                                  const graph::Csr& in_edges,
                                  graph::vertex_t source,

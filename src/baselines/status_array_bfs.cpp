@@ -19,13 +19,7 @@ using graph::vertex_t;
 
 StatusArrayBfs::StatusArrayBfs(const graph::Csr& g,
                                StatusArrayOptions options)
-    : graph_(&g), options_(std::move(options)) {
-  if (g.directed()) {
-    in_storage_.emplace(g.reversed());
-    in_edges_ = &*in_storage_;
-  } else {
-    in_edges_ = graph_;
-  }
+    : graph_(&g), in_edges_(&g.in_edges()), options_(std::move(options)) {
   device_ = std::make_unique<sim::Device>(options_.device);
   device_->set_trace_sink(options_.sink);
   device_->set_device_id(options_.device_ordinal);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "bfs/result.hpp"
 #include "enterprise/classify.hpp"
@@ -58,8 +57,7 @@ class StatusArrayBfs {
 
  private:
   const graph::Csr* graph_;
-  const graph::Csr* in_edges_;
-  std::optional<graph::Csr> in_storage_;
+  const graph::Csr* in_edges_;  // g.in_edges()
   StatusArrayOptions options_;
   std::unique_ptr<sim::Device> device_;
 };

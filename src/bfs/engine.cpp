@@ -231,13 +231,7 @@ class AtomicQueueEngine final : public Engine {
 class BeamerEngine final : public Engine {
  public:
   BeamerEngine(const graph::Csr& g, const EngineConfig& config)
-      : graph_(&g), options_(config.beamer) {
-    if (g.directed()) {
-      reverse_.emplace(g.reversed());
-      in_edges_ = &*reverse_;
-    } else {
-      in_edges_ = graph_;
-    }
+      : graph_(&g), in_edges_(&g.in_edges()), options_(config.beamer) {
     sink_ = config.sink;
     metrics_ = config.metrics;
   }
@@ -257,8 +251,7 @@ class BeamerEngine final : public Engine {
 
  private:
   const graph::Csr* graph_;
-  const graph::Csr* in_edges_ = nullptr;
-  std::optional<graph::Csr> reverse_;
+  const graph::Csr* in_edges_;
   baselines::BeamerOptions options_;
 };
 
@@ -472,12 +465,15 @@ std::map<std::string, EngineFactory>& registry() {
 }
 
 // Semantic checks a grammar-valid spec still needs: a registered base, a
-// known program on a base that can run one, and params only where a program
-// consumes them. Program params are validated by actually building the
-// program (the factories own the key/value rules).
+// known program on a base that can run one, params only where a program
+// consumes them, and an undirected graph for the multi-GPU BFS driver
+// (its programs run on either). Program params are validated by actually
+// building the program (the factories own the key/value rules).
 bool core_valid(const EngineSpec& spec, const graph::Csr& g) {
   if (registry().find(spec.base) == registry().end()) return false;
-  if (!spec.has_program()) return spec.params.empty();
+  if (!spec.has_program()) {
+    return spec.params.empty() && !(spec.base == "multi-gpu" && g.directed());
+  }
   if (spec.base != "enterprise" && spec.base != "multi-gpu" &&
       spec.base != "cpu") {
     return false;

@@ -40,10 +40,8 @@ bool stage_checkpoints(const EngineSpec& spec) {
 // program workloads (tree invariants do not apply to distances, labels, or
 // ranks), Graph500-style tree validation for BFS.
 ValidationReport validate_recovered(const EngineSpec& spec,
-                                    const graph::Csr& g,
-                                    const graph::Csr& reverse,
-                                    const BfsResult& r) {
-  if (!spec.has_program()) return validate_tree(g, reverse, r);
+                                    const graph::Csr& g, const BfsResult& r) {
+  if (!spec.has_program()) return validate_tree(g, g.in_edges(), r);
   const std::unique_ptr<VertexProgram> program =
       make_program(spec.program, g, ProgramParams{spec.params});
   if (program == nullptr) {
@@ -155,12 +153,6 @@ std::unique_ptr<Engine> ResilientEngine::build_stage(
   return make_engine(engine_name, *graph_, config_);
 }
 
-const graph::Csr& ResilientEngine::reverse_csr() {
-  if (!graph_->directed()) return *graph_;
-  if (!reverse_) reverse_.emplace(graph_->reversed());
-  return *reverse_;
-}
-
 void ResilientEngine::emit_recovery(const char* action, std::string detail,
                                     int attempt, double backoff_ms) {
   if (sink_ == nullptr) return;
@@ -230,7 +222,7 @@ BfsResult ResilientEngine::do_run(graph::vertex_t source) {
         BfsResult r = run_inner(*current_, source);
         if (opts.validate && run_stats_.faults_seen > 0) {
           const ValidationReport check =
-              validate_recovered(stage_spec, *graph_, reverse_csr(), r);
+              validate_recovered(stage_spec, *graph_, r);
           if (!check.ok) {
             ++run_stats_.validation_failures;
             last_error = "validation failed: " + check.error;

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -108,7 +107,6 @@ class ResilientEngine final : public Engine {
   // not buildable (skipped by the cascade).
   std::unique_ptr<Engine> build_stage(const std::string& engine_name);
   std::vector<std::string> cascade() const;
-  const graph::Csr& reverse_csr();
   void emit_recovery(const char* action, std::string detail, int attempt,
                      double backoff_ms);
   void publish(const BfsResult* result);
@@ -123,7 +121,6 @@ class ResilientEngine final : public Engine {
   unsigned next_ordinal_ = 1;  // first id fresh engines may use
   ResilienceStats run_stats_;
   ResilienceStats session_stats_;
-  std::optional<graph::Csr> reverse_;  // lazy in-edge CSR for validation
 };
 
 }  // namespace ent::bfs

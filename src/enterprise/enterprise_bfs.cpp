@@ -38,15 +38,10 @@ HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options) {
 
 EnterpriseBfs::EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options)
     : graph_(&g),
+      in_edges_(&g.in_edges()),
       options_(std::move(options)),
       hubs_(select_hubs(g, options_)),
       digests_(scrub_digests(g, options_.integrity)) {
-  if (g.directed()) {
-    in_storage_.emplace(g.reversed());
-    in_edges_ = &*in_storage_;
-  } else {
-    in_edges_ = graph_;
-  }
   device_ = std::make_unique<sim::Device>(options_.device);
   device_->set_trace_sink(options_.sink);
   device_->set_device_id(options_.device_ordinal);

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "bfs/integrity.hpp"
 #include "bfs/result.hpp"
@@ -127,7 +126,7 @@ HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options);
 
 class EnterpriseBfs {
  public:
-  // Keeps a reference to `g`; builds the in-edge CSR for directed graphs.
+  // Keeps a reference to `g` and borrows its in-edge view (g.in_edges()).
   EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options = {});
   ~EnterpriseBfs();
 
@@ -147,8 +146,7 @@ class EnterpriseBfs {
 
  private:
   const graph::Csr* graph_;
-  const graph::Csr* in_edges_;           // == graph_ when undirected
-  std::optional<graph::Csr> in_storage_;  // owns reverse CSR when directed
+  const graph::Csr* in_edges_;  // g.in_edges(): == graph_ when undirected
   EnterpriseOptions options_;
   std::unique_ptr<sim::Device> device_;
   HubSet hubs_;

@@ -49,10 +49,7 @@ ProgramRunner::ProgramRunner(const graph::Csr& g,
   ENT_ASSERT_MSG(program_ != nullptr, "ProgramRunner needs a program");
   // In-edge view for symmetric relaxations (cc on directed graphs); on
   // undirected graphs the out-edges already carry both directions.
-  if (program_->traits().symmetric && g.directed()) {
-    in_storage_.emplace(g.reversed());
-    in_edges_ = &*in_storage_;
-  }
+  if (program_->traits().symmetric && g.directed()) in_edges_ = &g.in_edges();
 
   if (device_ids_.empty()) {
     device_ids_.resize(num_devices);

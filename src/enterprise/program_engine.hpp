@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "bfs/program.hpp"
@@ -66,9 +65,9 @@ class ProgramRunner {
 
  private:
   const graph::Csr* graph_;
-  // Reversed adjacency for symmetric programs on directed graphs (cc's
-  // weakly-connected relaxations flow along in-edges too).
-  std::optional<graph::Csr> in_storage_;
+  // The graph's in-edge view, borrowed only by symmetric programs on
+  // directed graphs (cc's weakly-connected relaxations flow along in-edges
+  // too); null otherwise.
   const graph::Csr* in_edges_ = nullptr;
   std::unique_ptr<bfs::VertexProgram> program_;
   EnterpriseOptions options_;

@@ -14,6 +14,7 @@ Csr::Csr(vertex_t num_vertices, std::vector<edge_t> row_offsets,
       row_offsets_(std::move(row_offsets)),
       col_indices_(std::move(col_indices)) {
   check_invariants();
+  if (directed_) in_edges_ = std::make_unique<InEdges>();
 }
 
 Csr Csr::reversed() const {
@@ -31,6 +32,14 @@ Csr Csr::reversed() const {
   }
   return Csr(num_vertices_, std::move(in_offsets), std::move(in_cols),
              directed_);
+}
+
+const Csr& Csr::in_edges() const {
+  if (in_edges_ == nullptr) return *this;
+  std::call_once(in_edges_->built, [this] {
+    in_edges_->csr = std::make_unique<const Csr>(reversed());
+  });
+  return *in_edges_->csr;
 }
 
 double Csr::average_degree() const {

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +20,12 @@ class Csr {
   Csr() = default;
   Csr(vertex_t num_vertices, std::vector<edge_t> row_offsets,
       std::vector<vertex_t> col_indices, bool directed);
+
+  // Move-only: a move carries the in-edge view (in_edges()) with the graph.
+  Csr(Csr&&) noexcept = default;
+  Csr& operator=(Csr&&) noexcept = default;
+  Csr(const Csr&) = delete;
+  Csr& operator=(const Csr&) = delete;
 
   vertex_t num_vertices() const { return num_vertices_; }
   edge_t num_edges() const {
@@ -42,14 +50,21 @@ class Csr {
   // degree errors, which the digest scrub covers anyway). Exists solely so
   // the fault injector's silent-flip rules can corrupt a loaded graph
   // (FaultInjector::register_flip_target); nothing else may write through
-  // this, the graph is immutable everywhere else.
+  // this, the graph is immutable everywhere else. On a directed graph a
+  // flip after the first in_edges() call does not reach the in-edge view.
   std::span<std::byte> raw_adjacency_bytes() {
     return std::as_writable_bytes(std::span<vertex_t>(col_indices_));
   }
 
-  // Reverse (in-edge) CSR. Bottom-up BFS inspects a vertex's *incoming*
-  // neighbours; for undirected graphs callers can reuse the forward CSR.
+  // A fresh reverse (in-edge) CSR, built serially and invariant-checked on
+  // every call. Engines and validators borrow in_edges() instead.
   Csr reversed() const;
+
+  // In-edge view, which bottom-up BFS and tree validation read: `*this`
+  // when undirected, else reversed(), built by the first call (concurrent
+  // callers wait for it) and kept for the graph's lifetime. It reflects the
+  // adjacency at that first call.
+  const Csr& in_edges() const;
 
   // Average out-degree across all vertices.
   double average_degree() const;
@@ -70,6 +85,11 @@ class Csr {
   bool directed_ = false;
   std::vector<edge_t> row_offsets_;     // size num_vertices_ + 1
   std::vector<vertex_t> col_indices_;   // size num_edges
+  struct InEdges {
+    std::once_flag built;
+    std::unique_ptr<const Csr> csr;
+  };
+  std::unique_ptr<InEdges> in_edges_;  // allocated for directed graphs only
 };
 
 }  // namespace ent::graph

@@ -166,14 +166,12 @@ BfsService::BfsService(const graph::Csr& g, ServiceOptions options)
     snapshot_injector_ = std::make_unique<sim::FaultInjector>(
         plan.scoped_for(kSnapshotFaultScope));
   }
-  // Generation 0: the caller's graph plus every per-snapshot derivation
-  // (reverse CSR, digests, canary truths) the serving layer used to keep on
-  // the service itself.
+  // Generation 0: the caller's graph plus its per-snapshot derivations
+  // (digests, canary truths).
   StoreOptions store_options;
   store_options.canary_count =
       canary_every_ != 0 ? std::max(1u, options_.canary_count) : 0;
   store_options.canary_seed = options_.canary_seed;
-  store_options.build_reverse = options_.validate_trees;
   store_options.injector = snapshot_injector_.get();
   store_options.corrupt_candidate = options_.corrupt_candidate;
   store_options.clock = &clock_;
@@ -293,8 +291,7 @@ bfs::ValidationReport BfsService::validate_result(
     const bfs::BfsResult& r) const {
   const std::string& canon = workload.empty() ? default_workload_ : workload;
   if (canon == "bfs") {
-    const graph::Csr& reverse = snap.reverse ? *snap.reverse : *snap.graph;
-    return bfs::validate_tree(*snap.graph, reverse, r);
+    return bfs::validate_tree(*snap.graph, snap.graph->in_edges(), r);
   }
   // Program params apply only when validating the default workload (sibling
   // stacks run with program defaults, so they validate with them too).

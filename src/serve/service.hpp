@@ -304,7 +304,7 @@ class BfsService {
                           std::string* error);
   // Post-run validation routed by workload: validate_tree for BFS, the
   // program's validate() otherwise — always against the snapshot the
-  // request ran on (graph AND reverse CSR travel together per generation).
+  // request ran on (its graph carries its own in-edge view).
   bfs::ValidationReport validate_result(const Snapshot& snap,
                                         const std::string& workload,
                                         const bfs::BfsResult& r) const;
@@ -334,8 +334,9 @@ class BfsService {
   // store can stay injector-agnostic about lifetimes.
   std::unique_ptr<sim::FaultInjector> snapshot_injector_;
   // Generations, verification, promotion, and the drain ledger. Derived
-  // per-graph state (reverse CSR, canary truths, digests) lives on each
-  // Snapshot, never on the service — a swap can't leave stale derivations.
+  // per-graph state (canary truths, digests; the in-edge view on the graph)
+  // lives on each Snapshot, never on the service — a swap can't leave stale
+  // derivations.
   std::unique_ptr<SnapshotStore> store_;
   // Adaptive overload controller; null unless options_.overload.enabled.
   // Every method is called under mutex_ — only its atomic suspend taps are

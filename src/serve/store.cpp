@@ -57,9 +57,6 @@ SnapshotStore::SnapshotStore(const graph::Csr& base, StoreOptions options)
                                                   [](const graph::Csr*) {});
   snap->digests =
       graph::SegmentDigests::compute(base, options_.digest_block_bytes);
-  if (options_.build_reverse && base.directed()) {
-    snap->reverse.emplace(base.reversed());
-  }
   if (options_.canary_count > 0 && base.num_vertices() > 0) {
     // Canary sources are drawn ONCE and reused by every generation, so the
     // serving snapshot always carries the cross-check answers the next
@@ -198,9 +195,6 @@ std::shared_ptr<const Snapshot> SnapshotStore::ingest(
   // --- promote ------------------------------------------------------------
   auto snap = std::make_shared<Snapshot>();
   snap->generation = candidate_gen;
-  if (options_.build_reverse && candidate.directed()) {
-    snap->reverse.emplace(candidate.reversed());
-  }
   snap->graph = std::make_shared<const graph::Csr>(std::move(candidate));
   snap->digests = std::move(digests);
   snap->canaries = std::move(canaries);

@@ -39,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -54,16 +53,15 @@
 namespace ent::serve {
 
 // One immutable serving generation. Everything derived from the graph that
-// the serving layer needs (reverse CSR for digraph tree validation, canary
-// truths, integrity digests) lives HERE, not on the service — so a snapshot
-// swap can never pair a new graph with stale derived state.
+// the serving layer needs (canary truths, integrity digests) lives HERE,
+// not on the service — so a snapshot swap can never pair a new graph with
+// stale derived state. The in-edge view that workers' engines and digraph
+// tree validation read lives on the graph itself (Csr::in_edges()): its
+// first consumer builds it, and every worker rebound to this generation
+// shares it.
 struct Snapshot {
   std::uint64_t generation = 0;
   std::shared_ptr<const graph::Csr> graph;
-  // Reverse (in-edge) CSR for validate_tree on directed graphs; nullopt for
-  // undirected graphs (callers reuse the forward CSR) or when tree
-  // validation is off.
-  std::optional<graph::Csr> reverse;
   graph::SegmentDigests digests;
   // Precomputed canary answers on THIS generation's graph:
   // (source, host-reference levels).
@@ -146,8 +144,6 @@ struct StoreOptions {
   // canary verification AND serve-time canary truths.
   unsigned canary_count = 0;
   std::uint64_t canary_seed = 0x60a7ull;
-  // Build per-snapshot reverse CSRs (needed by validate_tree on digraphs).
-  bool build_reverse = false;
   // Fault-injection tap for the snapshot path; may be null. SimFaults at
   // the build/verify/promote hooks reject the candidate; silent-flip rules
   // corrupt the candidate's adjacency after digest compute (the digest

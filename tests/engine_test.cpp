@@ -9,6 +9,7 @@
 
 #include "baselines/cpu_bfs.hpp"
 #include "bfs/engine.hpp"
+#include "bfs/program.hpp"
 #include "bfs/runner.hpp"
 #include "bfs/validate.hpp"
 #include "graph/generators.hpp"
@@ -216,6 +217,27 @@ TEST(Engine, ResilientDecoratorRejectsMalformedNames) {
   EXPECT_EQ(bfs::make_engine("resilient:", g), nullptr);
   EXPECT_EQ(bfs::make_engine("resilient:no-such-engine", g), nullptr);
   EXPECT_EQ(bfs::make_engine("resilient:resilient:enterprise", g), nullptr);
+}
+
+// The multi-GPU BFS driver partitions undirected graphs only, so on a
+// digraph make_engine refuses it, bare or decorated; its vertex programs
+// run on either kind of graph.
+TEST(Engine, MultiGpuBfsOnDirectedGraphReturnsNull) {
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  p.seed = 13;
+  const Csr g = graph::generate_rmat(p);
+  ASSERT_TRUE(g.directed());
+  EXPECT_EQ(bfs::make_engine("multi-gpu", g), nullptr);
+  EXPECT_EQ(bfs::make_engine("resilient:multi-gpu", g), nullptr);
+  EXPECT_EQ(bfs::make_engine("guarded:multi-gpu", g), nullptr);
+
+  const auto cc = bfs::make_engine("multi-gpu/cc", g);
+  ASSERT_NE(cc, nullptr);
+  const auto validator = bfs::make_program("cc", g);
+  ASSERT_NE(validator, nullptr);
+  EXPECT_TRUE(validator->validate(g, cc->run(connected_source(g))).ok);
 }
 
 // The canonical decorator stack is guards OUTERMOST: a blown deadline must

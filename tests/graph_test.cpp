@@ -1,11 +1,16 @@
 // Tests for the CSR graph, builder, I/O, degree analytics, and partitioner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree.hpp"
+#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
 
@@ -50,6 +55,60 @@ TEST(Csr, ReverseOfReverseIsIdentity) {
     EXPECT_EQ(std::vector<vertex_t>(a.begin(), a.end()),
               std::vector<vertex_t>(b.begin(), b.end()));
   }
+}
+
+Csr directed_rmat() {
+  RmatParams p;
+  p.scale = 8;
+  p.edge_factor = 8;
+  p.seed = 3;
+  return generate_rmat(p);
+}
+
+TEST(Csr, InEdgesOfUndirectedGraphIsTheGraph) {
+  BuildOptions opts;
+  opts.symmetrize = true;
+  opts.directed = false;
+  const Csr g = build_csr(4, {{0, 1}, {1, 2}, {2, 3}}, opts);
+  EXPECT_EQ(&g.in_edges(), &g);
+}
+
+TEST(Csr, InEdgesOfDirectedGraphIsItsReverseBuiltOnce) {
+  const Csr g = directed_rmat();
+  ASSERT_TRUE(g.directed());
+  const Csr& view = g.in_edges();
+  EXPECT_NE(&view, &g);
+  const Csr expected = g.reversed();
+  EXPECT_TRUE(std::ranges::equal(view.row_offsets(), expected.row_offsets()));
+  EXPECT_TRUE(std::ranges::equal(view.col_indices(), expected.col_indices()));
+  EXPECT_EQ(&g.in_edges(), &view);
+}
+
+TEST(Csr, RacingFirstInEdgesCallsGetOneView) {
+  const Csr g = directed_rmat();
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const Csr*> views(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      views[static_cast<std::size_t>(t)] = &g.in_edges();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Csr* view : views) EXPECT_EQ(view, views[0]);
+  EXPECT_NE(views[0], &g);
+}
+
+TEST(Csr, MovedToGraphKeepsTheViewItsSourceBuilt) {
+  Csr source = diamond();
+  const Csr* view = &source.in_edges();
+  const Csr moved = std::move(source);
+  EXPECT_EQ(&moved.in_edges(), view);
+  const auto in3 = moved.in_edges().neighbors(3);
+  EXPECT_EQ(std::vector<vertex_t>(in3.begin(), in3.end()),
+            (std::vector<vertex_t>{1, 2}));
 }
 
 TEST(Builder, SymmetrizeDoublesEdges) {

@@ -331,6 +331,13 @@ int main(int argc, char** argv) {
 
   const auto engine = bfs::make_engine(system, g, config);
   if (engine == nullptr) {
+    const auto spec = bfs::EngineSpec::parse(system);
+    if (spec && spec->base == "multi-gpu" && !spec->has_program() &&
+        g.directed()) {
+      std::cerr << "engine '" << system << "' needs an undirected graph; "
+                << loaded.name << " is directed\n";
+      return 1;
+    }
     std::cerr << "unknown system '" << system << "'; known:";
     for (const auto& name : bfs::engine_names()) std::cerr << " " << name;
     std::cerr << "\n";
@@ -393,10 +400,8 @@ int main(int argc, char** argv) {
         }
       }
     } else {
-      std::optional<graph::Csr> reverse;
-      if (g.directed()) reverse.emplace(g.reversed());
       for (const auto& r : summary.runs) {
-        if (bfs::validate_tree(g, reverse ? *reverse : g, r).ok) ++validated;
+        if (bfs::validate_tree(g, g.in_edges(), r).ok) ++validated;
       }
     }
   }
