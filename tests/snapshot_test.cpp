@@ -394,70 +394,68 @@ TEST(SnapshotStore, FaultAtLifecycleHookRejects) {
 
 // --- zero-downtime swaps through the service -------------------------------
 
+// Serves `g` on `engine` with tree validation while four update batches
+// promote new generations mid-traffic.
+void swap_under_traffic(const Csr& g, const char* engine) {
+  SCOPED_TRACE(engine);
+  serve::ServiceOptions options;
+  options.engine = engine;
+  options.workers = 3;
+  options.validate_trees = true;
+  options.canary_rate = 0.25;
+  serve::BfsService service(g, options);
+
+  graph::RandomUpdateParams params;
+  params.batches = 4;
+  params.ops_per_batch = 12;
+  params.seed = 70;
+  const UpdateTrace trace = UpdateTrace::random(params, g);
+  const auto sources = bfs::sample_sources(g, 48, 70);
+
+  std::vector<std::future<serve::ServeOutcome>> futures;
+  std::size_t next_batch = 0;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (i % 12 == 6 && next_batch < trace.batches.size()) {
+      const std::uint64_t gen =
+          service.apply_updates(trace.batches[next_batch++]);
+      EXPECT_EQ(gen, next_batch);
+    }
+    serve::ServeRequest r;
+    r.source = sources[i];
+    futures.push_back(service.submit(r));
+  }
+  service.shutdown(serve::DrainMode::kGraceful);
+  for (auto& f : futures) {
+    const auto outcome = f.get();
+    EXPECT_NE(outcome.kind, serve::OutcomeKind::kFailed) << outcome.detail;
+  }
+
+  const auto stats = service.stats();
+  EXPECT_TRUE(stats.accounting_ok());
+  EXPECT_EQ(stats.validation_failures, 0u);
+
+  const auto snap_stats = service.snapshot_stats();
+  EXPECT_EQ(snap_stats.promoted, 4u);
+  EXPECT_EQ(snap_stats.rejected, 0u);
+  EXPECT_TRUE(snap_stats.ledgers_exact(/*require_all_drained=*/true));
+  ASSERT_EQ(snap_stats.generations.size(), 5u);
+  std::uint64_t ledger_started = 0;
+  for (const auto& gen : snap_stats.generations) {
+    ledger_started += gen.started;
+  }
+  // Every admitted request ran on exactly one generation.
+  EXPECT_EQ(ledger_started, stats.admitted);
+}
+
 // Two inputs: an undirected Kronecker graph on the host reference, and a
 // directed R-MAT graph on enterprise, whose workers and tree validation
 // share each generation's in-edge view across the promotions.
 TEST(ServeSnapshot, SwapUnderTrafficKeepsAccountingAndDrainLedgers) {
+  swap_under_traffic(test_graph(70), "cpu");
   graph::RmatParams rmat;
   rmat.scale = 10;
   rmat.seed = 70;
-  struct Input {
-    Csr g;
-    const char* engine;
-  };
-  const Input inputs[] = {{test_graph(70), "cpu"},
-                          {graph::generate_rmat(rmat), "enterprise"}};
-  for (const Input& in : inputs) {
-    SCOPED_TRACE(in.engine);
-    const Csr& g = in.g;
-    serve::ServiceOptions options;
-    options.engine = in.engine;
-    options.workers = 3;
-    options.validate_trees = true;
-    options.canary_rate = 0.25;
-    serve::BfsService service(g, options);
-
-    graph::RandomUpdateParams params;
-    params.batches = 4;
-    params.ops_per_batch = 12;
-    params.seed = 70;
-    const UpdateTrace trace = UpdateTrace::random(params, g);
-    const auto sources = bfs::sample_sources(g, 48, 70);
-
-    std::vector<std::future<serve::ServeOutcome>> futures;
-    std::size_t next_batch = 0;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      if (i % 12 == 6 && next_batch < trace.batches.size()) {
-        const std::uint64_t gen =
-            service.apply_updates(trace.batches[next_batch++]);
-        EXPECT_EQ(gen, next_batch);
-      }
-      serve::ServeRequest r;
-      r.source = sources[i];
-      futures.push_back(service.submit(r));
-    }
-    service.shutdown(serve::DrainMode::kGraceful);
-    for (auto& f : futures) {
-      const auto outcome = f.get();
-      EXPECT_NE(outcome.kind, serve::OutcomeKind::kFailed) << outcome.detail;
-    }
-
-    const auto stats = service.stats();
-    EXPECT_TRUE(stats.accounting_ok());
-    EXPECT_EQ(stats.validation_failures, 0u);
-
-    const auto snap_stats = service.snapshot_stats();
-    EXPECT_EQ(snap_stats.promoted, 4u);
-    EXPECT_EQ(snap_stats.rejected, 0u);
-    EXPECT_TRUE(snap_stats.ledgers_exact(/*require_all_drained=*/true));
-    ASSERT_EQ(snap_stats.generations.size(), 5u);
-    std::uint64_t ledger_started = 0;
-    for (const auto& gen : snap_stats.generations) {
-      ledger_started += gen.started;
-    }
-    // Every admitted request ran on exactly one generation.
-    EXPECT_EQ(ledger_started, stats.admitted);
-  }
+  swap_under_traffic(graph::generate_rmat(rmat), "enterprise");
 }
 
 TEST(ServeSnapshot, RejectedCandidateRollsBackAndServiceKeepsServing) {
