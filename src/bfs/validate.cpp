@@ -14,7 +14,7 @@ namespace {
 ValidationReport fail(const std::string& msg) { return {false, msg}; }
 
 // Vertices per block of the pooled passes.
-constexpr graph::vertex_t kVertexBlock = 65536;
+constexpr graph::vertex_t kVertexBlock = 16384;
 
 enum class Fault : std::uint8_t {
   kNone,

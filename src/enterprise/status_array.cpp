@@ -8,7 +8,7 @@ namespace ent::enterprise {
 namespace {
 
 // Vertices per block of the pooled finalize pass.
-constexpr std::size_t kVertexBlock = 65536;
+constexpr std::size_t kVertexBlock = 16384;
 
 }  // namespace
 

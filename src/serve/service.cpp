@@ -14,7 +14,6 @@
 #include "bfs/resilient.hpp"
 #include "bfs/validate.hpp"
 #include "obs/trace_sink.hpp"
-#include "util/pool.hpp"
 #include "util/random.hpp"
 
 namespace ent::serve {
@@ -400,10 +399,10 @@ void BfsService::reject(Pending&& p, RejectReason reason,
 }
 
 void BfsService::worker_main(Worker& w) {
-  // Each request runs on its worker's thread alone: the engines' and the
-  // validator's pooled loops run inline here, so workers never queue on the
-  // host pool behind one another.
-  const util::InlineScope one_thread;
+  // A request's pooled loops (the engines' bottom-up levels and finalize,
+  // validate_tree) run on the host pool's idle threads. While another
+  // worker's loop holds the pool they run inline on this thread instead:
+  // HostPool::for_each never waits for another caller.
   for (;;) {
     Pending p;
     bool have = false;
@@ -700,6 +699,15 @@ bool BfsService::run_canary(Worker& w) {
 ServeOutcome BfsService::run_request(Worker& w, const Pending& p) {
   const ServeRequest& request = p.request;
   ServeOutcome out;
+  // Every engine asserts its source is a vertex of the graph, so a request
+  // naming one outside this generation's graph fails here, typed.
+  const graph::vertex_t n = w.snap->graph->num_vertices();
+  if (request.source >= n) {
+    out.kind = OutcomeKind::kFailed;
+    out.detail = "source: vertex " + std::to_string(request.source) +
+                 " out of range (" + std::to_string(n) + " vertices)";
+    return out;
+  }
   if (options_.before_run) options_.before_run(request, w.cancel);
   std::string workload_error;
   bfs::Engine* engine = engine_for(w, request.workload, &workload_error);

@@ -97,10 +97,12 @@ void HostPool::worker_loop() {
 void HostPool::for_each(std::size_t chunks,
                         FunctionRef<void(std::size_t)> body) {
   Job job(chunks, body);
-  if (workers_.empty() || chunks <= 1 || t_inline) {
+  // A caller that finds another caller's job on the pool runs its own chunks
+  // rather than wait for that job to finish.
+  std::unique_lock submit(submit_mutex_, std::defer_lock);
+  if (workers_.empty() || chunks <= 1 || t_inline || !submit.try_lock()) {
     job.run();
   } else {
-    std::lock_guard submit(submit_mutex_);
     {
       std::lock_guard lock(mutex_);
       job_ = &job;

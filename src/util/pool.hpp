@@ -13,10 +13,13 @@
 // allocate: callers size their scratch before the call, which keeps pool
 // threads from creating allocator arenas of their own.
 //
-// A thread that holds an InlineScope, or that is running a chunk, runs every
-// for_each inline, all chunks in chunk order. Loops whose result would depend
-// on the order chunks run in (a queue holding a vertex twice) and callers that
-// must stay on one thread (serve workers) take that path.
+// A call never waits for another caller. The pool runs one job at a time;
+// a caller that finds another caller's job on it runs its own chunks inline,
+// all in chunk order, so concurrent callers (serve workers) share the pool
+// without queueing behind one another. A thread that holds an InlineScope, or
+// that is running a chunk, also runs every for_each inline. Loops whose
+// result would depend on the order chunks run in (a queue holding a vertex
+// twice) take that path.
 #pragma once
 
 #include <algorithm>
@@ -71,11 +74,13 @@ class HostPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
-  // Runs body(c) once for each c in [0, chunks). Safe to call from several
-  // threads at once; a call made from inside a chunk or under an
-  // InlineScope runs inline on its thread. If chunks throw, every chunk
-  // still runs, and the exception of the lowest-numbered failing chunk is
-  // rethrown.
+  // Runs body(c) once for each c in [0, chunks) and returns when all have
+  // run. Safe to call from several threads at once, and never waits for
+  // another call: while another call's job holds the pool, and for a call
+  // made from inside a chunk or under an InlineScope, every chunk runs
+  // inline on the calling thread, in chunk order. If chunks throw, every
+  // chunk still runs, and the exception of the lowest-numbered failing chunk
+  // is rethrown.
   void for_each(std::size_t chunks, FunctionRef<void(std::size_t)> body);
 
   // for_each over [0, count) cut into fixed blocks of `block` items, the
@@ -112,7 +117,7 @@ class HostPool {
   void worker_loop();
   void stop_and_join();
 
-  std::mutex submit_mutex_;  // one job at a time; later callers queue here
+  std::mutex submit_mutex_;  // held by the job on the pool; never waited on
   std::mutex mutex_;         // guards job_, generation_, stop_, Job::active
   std::condition_variable wake_;
   std::condition_variable done_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "baselines/cpu_bfs.hpp"
+#include "bfs/engine.hpp"
 #include "bfs/runner.hpp"
 #include "bfs/validate.hpp"
 #include "graph/generators.hpp"
@@ -30,6 +32,7 @@
 #include "obs/run_report.hpp"
 #include "serve/arrival.hpp"
 #include "serve/service.hpp"
+#include "util/pool.hpp"
 
 namespace ent {
 namespace {
@@ -379,6 +382,101 @@ TEST(Serve, PerRequestDeadlineTimesOutTyped) {
   EXPECT_EQ(stats.timed_out, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_TRUE(stats.accounting_ok());
+}
+
+TEST(Serve, OutOfRangeSourceFailsTypedBeforeAnyEngineRuns) {
+  const Csr g = test_graph(28);
+  ASSERT_EQ(g.num_vertices(), 1024u);
+
+  serve::ServiceOptions options;
+  options.workers = 2;
+  std::atomic<int> traversals{0};
+  options.before_run = [&](const serve::ServeRequest&,
+                           const std::atomic<bool>&) { ++traversals; };
+  serve::BfsService service(g, options);
+
+  serve::ServeRequest bad;
+  bad.source = 5000;
+  serve::ServeRequest fine;
+  fine.source = connected_source(g);
+  auto bad_future = service.submit(bad);
+  auto fine_future = service.submit(fine);
+  service.shutdown(serve::DrainMode::kGraceful);
+
+  const auto failed = bad_future.get();
+  EXPECT_EQ(failed.kind, serve::OutcomeKind::kFailed);
+  EXPECT_EQ(failed.detail, "source: vertex 5000 out of range (1024 vertices)");
+  EXPECT_FALSE(failed.result.has_value());
+  EXPECT_EQ(fine_future.get().kind, serve::OutcomeKind::kCompleted);
+  EXPECT_EQ(traversals.load(), 1);
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.validation_failures, 0u);
+  EXPECT_TRUE(stats.accounting_ok());
+}
+
+// Kronecker scale 16 spans four validation and finalize blocks, and its
+// bottom-up queues run past one 1,024-entry block, so three workers' pooled
+// loops meet on the host pool; each served tree must still be the direct
+// run's, bit for bit.
+TEST(Serve, MultiBlockTreesMatchDirectRunsAtEveryPoolSize) {
+  graph::KroneckerParams params;
+  params.scale = 16;
+  params.edge_factor = 8;
+  params.seed = 29;
+  const Csr g = graph::generate_kronecker(params);
+  const auto sources = bfs::sample_sources(g, 24, 31);
+
+  std::vector<bfs::BfsResult> direct;
+  bool long_bottom_up = false;
+  {
+    const auto engine = bfs::make_engine("enterprise", g);
+    ASSERT_NE(engine, nullptr);
+    for (const vertex_t s : sources) {
+      direct.push_back(engine->run(s));
+      for (const bfs::LevelTrace& l : direct.back().level_trace) {
+        long_bottom_up = long_bottom_up ||
+                         (l.direction == bfs::Direction::kBottomUp &&
+                          l.frontier_count > 1024);
+      }
+    }
+  }
+  ASSERT_TRUE(long_bottom_up);
+
+  for (const unsigned threads : {1u, 4u}) {
+    util::ScopedHostPool pool(threads);
+    serve::ServiceOptions options;
+    options.workers = 3;
+    options.validate_trees = true;
+    serve::BfsService service(g, options);
+    std::vector<std::future<serve::ServeOutcome>> futures;
+    for (const vertex_t s : sources) {
+      serve::ServeRequest r;
+      r.source = s;
+      futures.push_back(service.submit(r));
+    }
+    service.shutdown(serve::DrainMode::kGraceful);
+
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const auto outcome = futures[i].get();
+      ASSERT_EQ(outcome.kind, serve::OutcomeKind::kCompleted)
+          << outcome.detail;
+      const bfs::BfsResult& served = *outcome.result;
+      const bfs::BfsResult& want = direct[i];
+      EXPECT_EQ(served.levels, want.levels) << "source " << sources[i];
+      EXPECT_EQ(served.parents, want.parents) << "source " << sources[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(served.time_ms),
+                std::bit_cast<std::uint64_t>(want.time_ms))
+          << "source " << sources[i];
+      EXPECT_EQ(served.level_trace.size(), want.level_trace.size())
+          << "source " << sources[i];
+    }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.completed, sources.size()) << threads << " threads";
+    EXPECT_TRUE(stats.accounting_ok());
+  }
 }
 
 TEST(Serve, WatchdogRecyclesStuckWorkerAndServiceRecovers) {

@@ -491,6 +491,51 @@ TEST(HostPool, ThreadWithoutScopeStillUsesPool) {
   }
 }
 
+// Spins until `flag` is set or ~5 s pass; returns whether it was set.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return flag.load();
+}
+
+TEST(HostPool, BusyPoolRunsASecondCallerInline) {
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    util::HostPool pool(threads);
+    std::atomic<bool> a_open{false};
+    std::atomic<bool> b_returned{false};
+    bool b_returned_while_a_open = false;
+    std::vector<std::thread::id> ran_on(64);
+    std::vector<std::size_t> ran_as(64);
+    std::atomic<std::size_t> ran{0};
+    std::thread b([&] {
+      if (!wait_for(a_open)) return;
+      pool.for_each(64, [&](std::size_t c) {
+        ran_on[c] = std::this_thread::get_id();
+        ran_as[c] = ran++;
+      });
+      b_returned = true;
+    });
+    // A's job holds the pool until its chunk 0 sees B return: a B that
+    // queued behind A would still be waiting when that wait runs out.
+    pool.for_each(2, [&](std::size_t c) {
+      if (c != 0) return;
+      a_open = true;
+      b_returned_while_a_open = wait_for(b_returned);
+    });
+    const std::thread::id b_id = b.get_id();
+    b.join();
+    EXPECT_TRUE(b_returned_while_a_open) << threads << " threads";
+    EXPECT_EQ(ran_on, std::vector<std::thread::id>(64, b_id))
+        << threads << " threads";
+    std::vector<std::size_t> chunk_order(64);
+    std::iota(chunk_order.begin(), chunk_order.end(), std::size_t{0});
+    EXPECT_EQ(ran_as, chunk_order) << threads << " threads";
+  }
+}
+
 TEST(HostPool, ScopedPoolReplacesProcessPoolForItsScope) {
   const unsigned process = util::host_pool().size();
   EXPECT_GE(process, 1u);
