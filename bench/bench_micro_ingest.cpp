@@ -1,6 +1,7 @@
 // Host microbenchmarks for graph ingest on the host pool: Kronecker
-// generation end to end (R-MAT draws, relabel, build) and build_csr alone,
-// each at one pool thread and at every hardware thread.
+// generation end to end (R-MAT draws, relabel, build), directed GTgraph
+// R-MAT generation end to end, and build_csr alone, each at one pool thread
+// and at every hardware thread.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -31,6 +32,21 @@ void BM_GenerateKronecker(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           (std::int64_t{kEdgeFactor} << scale));
+}
+
+// GTgraph R-MAT, (0.45, 0.15, 0.15) and directed: other cut points than the
+// Kronecker's, and the unsymmetrized build.
+void BM_GenerateRmat(benchmark::State& state) {
+  ent::graph::RmatParams p;
+  p.scale = static_cast<int>(state.range(0));
+  p.edge_factor = kEdgeFactor;
+  ent::util::ScopedHostPool pool(static_cast<unsigned>(state.range(1)));
+  for (auto _ : state) {
+    const Csr g = ent::graph::generate_rmat(p);
+    benchmark::DoNotOptimize(g.col_indices().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (std::int64_t{kEdgeFactor} << p.scale));
 }
 
 // The undirected edge list of a Kronecker graph, each edge once, in a
@@ -83,6 +99,7 @@ void ingest_args(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_GenerateKronecker)->Apply(ingest_args);
+BENCHMARK(BM_GenerateRmat)->Apply(ingest_args);
 BENCHMARK(BM_BuildCsr)->Apply(ingest_args);
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "graph/errors.hpp"
@@ -15,6 +18,32 @@ namespace {
 // Rows sorted per pool chunk: fixed, and small enough that a Kronecker hub's
 // long row does not hold up the rest of its chunk's thread.
 constexpr std::size_t kSortRows = 1024;
+
+// Rows of at least this many entries are radix sorted; shorter ones keep
+// std::sort.
+constexpr std::size_t kRadixRow = 256;
+
+// Least-significant-digit radix sort of row[0, len) by 8-bit digits, `passes`
+// of them, through scratch[0, len). Each pass is a stable counting scatter,
+// so after the pass over the top digit the row is sorted; an odd pass count
+// leaves the result in the scratch, which is copied back.
+void radix_sort_row(vertex_t* row, vertex_t* scratch, std::size_t len,
+                    int passes) {
+  vertex_t* from = row;
+  vertex_t* to = scratch;
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = 8 * pass;
+    std::array<std::uint32_t, 256> bucket{};
+    for (std::size_t i = 0; i < len; ++i) ++bucket[(from[i] >> shift) & 0xff];
+    std::uint32_t start = 0;
+    for (std::uint32_t& b : bucket) start += std::exchange(b, start);
+    for (std::size_t i = 0; i < len; ++i) {
+      to[bucket[(from[i] >> shift) & 0xff]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != row) std::copy(from, from + len, row);
+}
 
 }  // namespace
 
@@ -103,12 +132,28 @@ Csr build_csr(vertex_t num_vertices, std::vector<Edge> edges,
     }
   });
 
+  // The edge list and the cursors are dead: release them before the sort's
+  // scratch, so the scratch does not raise the build's peak memory.
+  std::vector<Edge>().swap(edges);
+  std::vector<std::uint32_t>().swap(counts);
+
   // Sorted rows make the CSR independent of the range split and the order
-  // the scatter wrote each row in.
+  // the scatter wrote each row in. A long row that arrives sorted is left
+  // alone; a long unsorted one is radix sorted through its own slots of one
+  // scratch array, which is never written (so never paged in) when no row
+  // needs it.
+  const auto label_bits = static_cast<int>(std::bit_width(n > 0 ? n - 1 : 0));
+  const int passes = (label_bits + 7) / 8;
+  const auto scratch = std::make_unique_for_overwrite<vertex_t[]>(cols.size());
   pool.for_each_block(n, kSortRows, [&](std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
-      std::sort(cols.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                cols.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+      vertex_t* row = cols.data() + offsets[v];
+      const std::size_t len = offsets[v + 1] - offsets[v];
+      if (len < kRadixRow) {
+        std::sort(row, row + len);
+      } else if (!std::is_sorted(row, row + len)) {
+        radix_sort_row(row, scratch.get() + offsets[v], len, passes);
+      }
     }
   });
   return Csr(num_vertices, std::move(offsets), std::move(cols),

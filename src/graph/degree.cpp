@@ -1,6 +1,7 @@
 #include "graph/degree.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/assert.hpp"
 
@@ -37,16 +38,19 @@ HubStats hub_stats_for_threshold(const Csr& g, edge_t tau) {
 
 HubStats select_hub_threshold(const Csr& g, vertex_t target_hubs) {
   ENT_ASSERT(target_hubs >= 1);
-  std::vector<edge_t> degrees(g.num_vertices());
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) degrees[v] = g.out_degree(v);
-  std::sort(degrees.begin(), degrees.end(), std::greater<>());
-
   // tau = degree of the (target_hubs)-th highest vertex; everything strictly
   // above it qualifies, which keeps the hub count at or below the target
-  // even when ties cross the boundary.
+  // even when ties cross the boundary. Only that order statistic is needed,
+  // so nth_element finds it in O(n) instead of sorting every degree.
   edge_t tau = 0;
   if (g.num_vertices() > target_hubs) {
-    tau = degrees[target_hubs];
+    std::vector<edge_t> degrees(g.num_vertices());
+    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+      degrees[v] = g.out_degree(v);
+    }
+    const auto nth = degrees.begin() + target_hubs;
+    std::nth_element(degrees.begin(), nth, degrees.end(), std::greater<>());
+    tau = *nth;
   }
   return hub_stats_for_threshold(g, tau);
 }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "graph/builder.hpp"
 #include "graph/errors.hpp"
@@ -15,24 +17,42 @@
 namespace ent::graph {
 namespace {
 
+// The R-MAT quadrant boundaries as integer cut points on the 53-bit draw
+// k = next() >> 11. next_double() is exactly k * 2^-53, so for a real t in
+// [0, 1], next_double() < t holds exactly when k < ceil(t * 2^53): comparing
+// k with the cut point gives the same answer as comparing the double draw
+// with t, and the edges stay byte for byte those of the double compare.
+struct RmatCuts {
+  std::uint64_t a;    // ceil(a * 2^53)
+  std::uint64_t ab;   // ceil((a + b) * 2^53)
+  std::uint64_t abc;  // ceil((a + b + c) * 2^53)
+
+  // a, b and c are checked: finite, non-negative, a + b + c <= 1. The sums
+  // round as the double compare's did, and rounding is monotone, so
+  // a <= ab <= abc <= 2^53.
+  RmatCuts(double pa, double pb, double pc)
+      : a(cut(pa)), ab(cut(pa + pb)), abc(cut(pa + pb + pc)) {}
+
+  static std::uint64_t cut(double t) {
+    return static_cast<std::uint64_t>(std::ceil(t * 0x1.0p53));
+  }
+};
+
 // One recursive-matrix edge draw over a 2^scale x 2^scale adjacency matrix.
-Edge rmat_edge(int scale, double a, double b, double c, SplitMix64& rng) {
+// Per level, the draw falls in the top-left (k < a), top-right (k < ab),
+// bottom-left (k < abc) or bottom-right quadrant; with the cut points
+// ordered, the src bit is k >= ab and the dst bit is the parity of the
+// three comparisons, so no level branches on the draw.
+Edge rmat_edge(int scale, const RmatCuts& cuts, SplitMix64& rng) {
   vertex_t src = 0;
   vertex_t dst = 0;
   for (int level = 0; level < scale; ++level) {
-    const double r = rng.next_double();
-    src <<= 1;
-    dst <<= 1;
-    if (r < a) {
-      // top-left quadrant: neither bit set
-    } else if (r < a + b) {
-      dst |= 1;  // top-right
-    } else if (r < a + b + c) {
-      src |= 1;  // bottom-left
-    } else {
-      src |= 1;  // bottom-right
-      dst |= 1;
-    }
+    const std::uint64_t k = rng.next() >> 11;
+    const auto past_a = static_cast<vertex_t>(k >= cuts.a);
+    const auto past_ab = static_cast<vertex_t>(k >= cuts.ab);
+    const auto past_abc = static_cast<vertex_t>(k >= cuts.abc);
+    src = (src << 1) | past_ab;
+    dst = (dst << 1) | (past_a ^ past_ab ^ past_abc);
   }
   return {src, dst};
 }
@@ -42,22 +62,36 @@ Edge rmat_edge(int scale, double a, double b, double c, SplitMix64& rng) {
 // pool size.
 constexpr std::size_t kEdgeChunk = std::size_t{1} << 16;
 
-std::vector<Edge> rmat_edges(int scale, edge_t count, double a, double b,
-                             double c, std::uint64_t seed) {
-  ENT_ASSERT(scale >= 1 && scale < 32);
-  ENT_ASSERT(a + b + c <= 1.0);
-  std::vector<Edge> edges(count);
-  // Every edge takes exactly `scale` draws, so edge e's draws start at draw
-  // e * scale of the one serial stream, and each chunk seeds itself there.
-  const auto draws_per_edge = static_cast<std::uint64_t>(scale);
-  util::host_pool().for_each_block(
-      edges.size(), kEdgeChunk, [&](std::size_t begin, std::size_t end) {
-        SplitMix64 rng(seed + begin * draws_per_edge * SplitMix64::kGamma);
-        for (std::size_t e = begin; e < end; ++e) {
-          edges[e] = rmat_edge(scale, a, b, c, rng);
-        }
-      });
-  return edges;
+// Checked before the shift and the edge array that a bad scale or edge
+// factor would turn into undefined behaviour or a huge allocation, and
+// before the cut points, which a negative or NaN probability would turn
+// into an undefined conversion.
+void check_rmat_params(const RmatParams& params) {
+  const vertex_t max_vertices = BuildOptions{}.max_vertices;
+  if (params.scale < 1 ||
+      params.scale >= static_cast<int>(std::bit_width(max_vertices))) {
+    throw GraphFormatError(
+        {}, "rmat scale " + std::to_string(params.scale) +
+                " out of range: need 1 <= scale and 2^scale <= "
+                "BuildOptions.max_vertices=" +
+                std::to_string(max_vertices));
+  }
+  if (params.edge_factor < 1) {
+    throw GraphFormatError({}, "rmat edge factor " +
+                                   std::to_string(params.edge_factor) +
+                                   " out of range: need edge_factor >= 1");
+  }
+  const double a = params.a;
+  const double b = params.b;
+  const double c = params.c;
+  if (!std::isfinite(a) || !std::isfinite(b) || !std::isfinite(c) ||
+      a < 0.0 || b < 0.0 || c < 0.0 || a + b + c > 1.0) {
+    char text[96];
+    std::snprintf(text, sizeof(text), "a=%g b=%g c=%g", a, b, c);
+    throw GraphFormatError({}, std::string("rmat probabilities ") + text +
+                                   " out of range: need finite a, b, c >= 0 "
+                                   "with a + b + c <= 1");
+  }
 }
 
 // Random permutation of vertex labels: Graph500 shuffles vertex ids so that
@@ -85,28 +119,29 @@ void relabel(std::vector<Edge>& edges, const std::vector<vertex_t>& perm) {
 
 }  // namespace
 
-Csr generate_rmat(const RmatParams& params) {
-  // Checked before the shift and the edge array below, which a bad scale or
-  // edge factor would turn into undefined behaviour or a huge allocation.
-  const vertex_t max_vertices = BuildOptions{}.max_vertices;
-  if (params.scale < 1 ||
-      params.scale >= static_cast<int>(std::bit_width(max_vertices))) {
-    throw GraphFormatError(
-        {}, "rmat scale " + std::to_string(params.scale) +
-                " out of range: need 1 <= scale and 2^scale <= "
-                "BuildOptions.max_vertices=" +
-                std::to_string(max_vertices));
-  }
-  if (params.edge_factor < 1) {
-    throw GraphFormatError({}, "rmat edge factor " +
-                                   std::to_string(params.edge_factor) +
-                                   " out of range: need edge_factor >= 1");
-  }
+std::vector<Edge> generate_rmat_edges(const RmatParams& params) {
+  check_rmat_params(params);
   const auto n = static_cast<vertex_t>(1u << params.scale);
-  const auto target = static_cast<edge_t>(n) *
-                      static_cast<edge_t>(params.edge_factor);
-  std::vector<Edge> edges = rmat_edges(params.scale, target, params.a,
-                                       params.b, params.c, params.seed);
+  std::vector<Edge> edges(static_cast<std::size_t>(n) *
+                          static_cast<std::size_t>(params.edge_factor));
+  const RmatCuts cuts(params.a, params.b, params.c);
+  // Every edge takes exactly `scale` draws, so edge e's draws start at draw
+  // e * scale of the one serial stream, and each chunk seeds itself there.
+  const auto draws_per_edge = static_cast<std::uint64_t>(params.scale);
+  util::host_pool().for_each_block(
+      edges.size(), kEdgeChunk, [&](std::size_t begin, std::size_t end) {
+        SplitMix64 rng(params.seed +
+                       begin * draws_per_edge * SplitMix64::kGamma);
+        for (std::size_t e = begin; e < end; ++e) {
+          edges[e] = rmat_edge(params.scale, cuts, rng);
+        }
+      });
+  return edges;
+}
+
+Csr generate_rmat(const RmatParams& params) {
+  std::vector<Edge> edges = generate_rmat_edges(params);
+  const auto n = static_cast<vertex_t>(1u << params.scale);
   relabel(edges, random_permutation(n, params.seed ^ 0x9e3779b9ull));
   BuildOptions opts;
   opts.symmetrize = params.symmetrize;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
@@ -32,8 +33,16 @@ struct RmatParams {
 };
 
 // Recursive-matrix edge sampling (Chakrabarti et al.); the Graph500
-// Kronecker generator is the symmetrized special case below.
+// Kronecker generator is the symmetrized special case below. A scale or edge
+// factor out of range, or probabilities that are negative, not finite or
+// sum above 1, throw graph::GraphFormatError before anything is allocated.
 Csr generate_rmat(const RmatParams& params);
+
+// The edges generate_rmat draws, before it shuffles the vertex labels and
+// builds the CSR: edge e is the e-th `scale`-draw edge of the one serial
+// SplitMix64(seed) stream. `symmetrize` is not read. Checks its parameters
+// as generate_rmat does, and runs on util::host_pool().
+std::vector<Edge> generate_rmat_edges(const RmatParams& params);
 
 struct KroneckerParams {
   int scale = 16;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "graph/builder.hpp"
 #include "graph/degree.hpp"
 #include "graph/digest.hpp"
+#include "graph/errors.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "util/pool.hpp"
@@ -45,6 +48,43 @@ TEST(Rmat, SeedChangesGraph) {
   const Csr b = generate_rmat(p);
   EXPECT_FALSE(std::equal(a.col_indices().begin(), a.col_indices().end(),
                           b.col_indices().begin()));
+}
+
+TEST(Rmat, BadProbabilitiesThrowTyped) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double a, b, c;
+    const char* shown;
+  } cases[] = {{0.9, 0.2, 0.19, "a=0.9 b=0.2 c=0.19"},  // a + b + c > 1
+               {nan, 0.19, 0.19, "a=nan"},
+               {0.57, nan, 0.19, "b=nan"},
+               {0.57, 0.19, nan, "c=nan"},
+               {-0.5, 0.19, 0.19, "a=-0.5"},
+               {0.57, -0.25, 0.19, "b=-0.25"},
+               {0.57, 0.19, -1e-300, "c=-1e-300"},
+               {inf, 0.19, 0.19, "a=inf"},
+               {0.57, 0.19, -inf, "c=-inf"}};
+  for (const auto& c : cases) {
+    RmatParams p;
+    p.scale = 8;
+    p.a = c.a;
+    p.b = c.b;
+    p.c = c.c;
+    for (const bool edges_only : {false, true}) {
+      try {
+        if (edges_only) {
+          (void)generate_rmat_edges(p);
+        } else {
+          (void)generate_rmat(p);
+        }
+        FAIL() << "expected GraphFormatError for " << c.shown;
+      } catch (const GraphFormatError& e) {
+        EXPECT_NE(e.invariant().find(c.shown), std::string::npos) << e.what();
+        EXPECT_NE(e.invariant().find("a + b + c <= 1"), std::string::npos);
+      }
+    }
+  }
 }
 
 TEST(Kronecker, SymmetrizedAndSkewed) {
@@ -296,6 +336,127 @@ TEST_P(GeneratedBytes, MatchPinnedDigestsAtEveryPoolSize) {
 INSTANTIATE_TEST_SUITE_P(PoolSizes, GeneratedBytes,
                          ::testing::Values(1u, 2u, 4u, 7u));
 
+// ---- R-MAT draws against the double compare ------------------------------
+
+// The R-MAT draws as first released: one serial SplitMix64(seed) stream, and
+// each level compares the double draw with a, a + b and a + b + c.
+std::vector<Edge> reference_rmat_edges(const RmatParams& p) {
+  SplitMix64 rng(p.seed);
+  std::vector<Edge> edges;
+  const std::size_t count = (std::size_t{1} << p.scale) *
+                            static_cast<std::size_t>(p.edge_factor);
+  for (std::size_t e = 0; e < count; ++e) {
+    vertex_t src = 0;
+    vertex_t dst = 0;
+    for (int level = 0; level < p.scale; ++level) {
+      const double r = rng.next_double();
+      src <<= 1;
+      dst <<= 1;
+      if (r < p.a) {
+        // top-left: neither bit set
+      } else if (r < p.a + p.b) {
+        dst |= 1;
+      } else if (r < p.a + p.b + p.c) {
+        src |= 1;
+      } else {
+        src |= 1;
+        dst |= 1;
+      }
+    }
+    edges.push_back({src, dst});
+  }
+  return edges;
+}
+
+class RmatOracle : public ::testing::TestWithParam<unsigned> {};
+
+// The integer cut points draw the same edges as the double compare, in the
+// skewed, uniform and degenerate corners (cut points at 0 and at 2^53), over
+// three pool chunks of edges.
+TEST_P(RmatOracle, CutPointsDrawTheDoubleCompareEdges) {
+  util::ScopedHostPool pool(GetParam());
+  const struct {
+    double a, b, c;
+  } sets[] = {{0.57, 0.19, 0.19}, {0.45, 0.15, 0.15}, {0.25, 0.25, 0.25},
+              {1.0, 0.0, 0.0},    {0.0, 1.0, 0.0},    {0.0, 0.0, 1.0},
+              {0.0, 0.0, 0.0},    {0.5, 0.5, 0.0}};
+  std::uint64_t seed = 31;
+  for (const auto& set : sets) {
+    RmatParams p;
+    p.scale = 13;
+    p.edge_factor = 24;
+    p.a = set.a;
+    p.b = set.b;
+    p.c = set.c;
+    p.seed = seed++;
+    const std::vector<Edge> edges = generate_rmat_edges(p);
+    const std::vector<Edge> expected = reference_rmat_edges(p);
+    ASSERT_EQ(edges.size(), expected.size());
+    const auto [got, want] = std::ranges::mismatch(edges, expected);
+    EXPECT_TRUE(got == edges.end())
+        << "(" << set.a << ", " << set.b << ", " << set.c << ") edge "
+        << (got - edges.begin()) << " is (" << got->src << ", " << got->dst
+        << "), the double compare draws (" << want->src << ", " << want->dst
+        << ")";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, RmatOracle, ::testing::Values(1u, 4u));
+
+// The seed whose SplitMix64 stream starts with `value`: the output mix is a
+// bijection (xor-shifts and odd multipliers), so it runs backwards.
+std::uint64_t seed_for_first_draw(std::uint64_t value) {
+  const auto unshift = [](std::uint64_t z, int shift) {
+    std::uint64_t x = z;
+    for (int i = 0; i < 64 / shift; ++i) x = z ^ (x >> shift);
+    return x;
+  };
+  const auto inverse = [](std::uint64_t odd) {
+    std::uint64_t inv = odd;  // Newton: each step doubles the correct bits
+    for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+    return inv;
+  };
+  std::uint64_t z = unshift(value, 31) * inverse(0x94d049bb133111ebull);
+  z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9ull);
+  return unshift(z, 30) - SplitMix64::kGamma;
+}
+
+// Random draws almost never land on a cut point. Force the first draw of a
+// scale-1 graph onto every 53-bit value next to a, a + b and a + b + c, with
+// the 11 discarded low bits clear and set, and compare the quadrant with the
+// double compare's.
+TEST(RmatOracleBoundaries, DrawsNextToEveryCutPointMatchTheDoubleCompare) {
+  const struct {
+    double a, b, c;
+  } sets[] = {{0.57, 0.19, 0.19}, {0.45, 0.15, 0.15}, {0.1, 0.2, 0.3},
+              {1.0 / 3, 1.0 / 3, 1.0 / 3}, {0.0, 0.5, 0.5}};
+  int probes = 0;
+  for (const auto& set : sets) {
+    for (const double t : {set.a, set.a + set.b, set.a + set.b + set.c}) {
+      const auto k0 = static_cast<std::int64_t>(std::floor(t * 0x1.0p53));
+      for (std::int64_t k = k0 - 2; k <= k0 + 2; ++k) {
+        if (k < 0 || k >= (std::int64_t{1} << 53)) continue;
+        for (const std::uint64_t low : {0ull, 0x7ffull}) {
+          const std::uint64_t draw =
+              (static_cast<std::uint64_t>(k) << 11) | low;
+          RmatParams p;
+          p.scale = 1;
+          p.edge_factor = 1;
+          p.a = set.a;
+          p.b = set.b;
+          p.c = set.c;
+          p.seed = seed_for_first_draw(draw);
+          ASSERT_EQ(SplitMix64(p.seed).next(), draw);
+          EXPECT_EQ(generate_rmat_edges(p)[0], reference_rmat_edges(p)[0])
+              << "(" << set.a << ", " << set.b << ", " << set.c << ") k " << k;
+          ++probes;
+        }
+      }
+    }
+  }
+  EXPECT_GT(probes, 100);
+}
+
 // ---- build_csr against a naive reference ------------------------------------------
 
 // The CSR of an edge multiset by definition: every directed pair (both
@@ -353,6 +514,57 @@ TEST_P(BuildCsrDifferential, MatchesSortedPairReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, BuildCsrDifferential,
+                         ::testing::Values(1u, 2u, 4u, 7u));
+
+// build_csr radix sorts rows of 256 or more entries in
+// ceil(bit_width(n - 1) / 8) digit passes: one up to n = 2^8, two up to
+// 2^16, three above. Each graph has long rows of 256-5,000 entries with
+// duplicates and self-loops, and vertex 0's long row arrives sorted (no other
+// edge touches vertex 0), on both sides of each pass-count boundary.
+class BuildCsrLongRows : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BuildCsrLongRows, MatchesSortedPairReference) {
+  util::ScopedHostPool pool(GetParam());
+  SplitMix64 rng(4096);
+  for (const vertex_t n : {200u, 256u, 257u, 4000u, 65536u, 65537u}) {
+    const auto other = [&] {
+      return static_cast<vertex_t>(1 + rng.next_below(n - 1));
+    };
+    std::vector<Edge> edges;
+    for (vertex_t i = 0; i < n / 4; ++i) edges.push_back({other(), other()});
+    const auto sorted_len = 256 + rng.next_below(4745);
+    for (std::uint64_t i = 0; i < sorted_len; ++i) {
+      // Ascending, with runs of duplicates and the self-loop first.
+      edges.push_back({0, static_cast<vertex_t>(i * (n - 1) / sorted_len)});
+    }
+    for (int hub = 0; hub < 5; ++hub) {
+      const vertex_t src = other();
+      const auto len = 256 + rng.next_below(4745);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        const vertex_t dst = rng.next_below(8) == 0 ? src : other();
+        edges.push_back({src, dst});
+        if (rng.next_below(16) == 0) edges.push_back({src, dst});
+      }
+    }
+    // One more long row, closed by 300 copies of the top label.
+    const vertex_t flat = other();
+    for (int i = 0; i < 300; ++i) edges.push_back({flat, n - 1});
+    for (const bool symmetrize : {false, true}) {
+      BuildOptions opts;
+      opts.symmetrize = symmetrize;
+      opts.directed = !symmetrize;
+      const Csr g = build_csr(n, edges, opts);
+      const auto [offsets, cols] = reference_csr(n, edges, symmetrize);
+      EXPECT_GE(g.out_degree(0), 256u);
+      EXPECT_TRUE(std::ranges::equal(g.row_offsets(), offsets))
+          << "n " << n << " symmetrize " << symmetrize;
+      EXPECT_TRUE(std::ranges::equal(g.col_indices(), cols))
+          << "n " << n << " symmetrize " << symmetrize;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, BuildCsrLongRows,
                          ::testing::Values(1u, 2u, 4u, 7u));
 
 }  // namespace

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <latch>
 #include <sstream>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
+#include "util/random.hpp"
 
 namespace ent::graph {
 namespace {
@@ -170,6 +173,48 @@ TEST(Degree, HubCountNeverExceedsTarget) {
   for (vertex_t target : {1u, 4u, 16u}) {
     const HubStats hubs = select_hub_threshold(g, target);
     EXPECT_LE(hubs.num_hubs, target) << "target " << target;
+  }
+}
+
+// tau by definition: the degree at position `target` of every degree sorted
+// descending, or 0 when there are no more vertices than the target.
+edge_t reference_hub_threshold(const Csr& g, vertex_t target) {
+  std::vector<edge_t> degrees;
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    degrees.push_back(g.out_degree(v));
+  }
+  std::sort(degrees.begin(), degrees.end(), std::greater<>());
+  return g.num_vertices() > target ? degrees[target] : 0;
+}
+
+TEST(Degree, HubThresholdMatchesFullSortReference) {
+  SplitMix64 rng(21);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<vertex_t>(1 + rng.next_below(400));
+    // Few distinct degrees in odd trials, so ties cross the cut; a heavy
+    // tail in even ones.
+    const std::uint64_t spread = trial % 2 ? 4 : 64;
+    std::vector<Edge> edges;
+    for (vertex_t v = 0; v < n; ++v) {
+      std::uint64_t degree = rng.next_below(spread);
+      if (trial % 2 == 0 && rng.next_below(16) == 0) degree *= 20;
+      for (std::uint64_t k = 0; k < degree; ++k) {
+        edges.push_back({v, static_cast<vertex_t>(rng.next_below(n))});
+      }
+    }
+    const Csr g = build_csr(n, std::move(edges));
+    for (const vertex_t target :
+         {vertex_t{1}, static_cast<vertex_t>(1 + rng.next_below(n)),
+          std::max<vertex_t>(1, n - 1), n, n + 7}) {
+      const edge_t tau = reference_hub_threshold(g, target);
+      const HubStats hubs = select_hub_threshold(g, target);
+      const HubStats expected = hub_stats_for_threshold(g, tau);
+      EXPECT_EQ(hubs.threshold, tau) << "trial " << trial << " n " << n
+                                     << " target " << target;
+      EXPECT_EQ(hubs.num_hubs, expected.num_hubs) << "trial " << trial;
+      EXPECT_EQ(hubs.hub_edges, expected.hub_edges) << "trial " << trial;
+      EXPECT_LE(hubs.num_hubs, target) << "trial " << trial;
+    }
   }
 }
 

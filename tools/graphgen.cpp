@@ -7,10 +7,13 @@
 //   graphgen --family=road --width=512 --height=512 --out=road.bin
 //
 // Families: kron rmat social road mesh comb er. Formats: binary (default,
-// "ENTG" container) or text (SNAP-style "src dst" lines).
+// "ENTG" container) or text (SNAP-style "src dst" lines). Exits 4 with the
+// error's message when a family parameter is out of range or the output
+// cannot be written.
 #include <fstream>
 #include <iostream>
 
+#include "graph/errors.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/suite.hpp"
@@ -84,16 +87,7 @@ graph::Csr generate(const Args& args) {
   std::exit(1);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  if (args.has("help")) {
-    std::cout << "usage: graphgen --family=<kron|rmat|social|road|mesh|comb|"
-                 "er|suite> [family params] --out=<path> [--format=binary|"
-                 "text]\n";
-    return 0;
-  }
+int run(const Args& args) {
   const graph::Csr g = generate(args);
   std::cerr << "generated " << g.num_vertices() << " vertices, "
             << g.num_edges() << " directed edges (avg degree "
@@ -118,4 +112,24 @@ int main(int argc, char** argv) {
   }
   std::cerr << "wrote " << out << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: graphgen --family=<kron|rmat|social|road|mesh|comb|"
+                 "er|suite> [family params] --out=<path> [--format=binary|"
+                 "text]\n";
+    return 0;
+  }
+  // Bad family parameters and unwritable outputs are input problems: exit 4
+  // with the typed error's message, as bfs_runner does, not an abort.
+  try {
+    return run(args);
+  } catch (const graph::GraphError& e) {
+    std::cerr << "graphgen: " << e.what() << "\n";
+    return 4;
+  }
 }
