@@ -1,7 +1,7 @@
 // Host microbenchmarks for the expansion kernels, classification, tree
-// validation and the full Enterprise traversal: simulation throughput in
-// edges/second. The pooled loops run at one thread and at every hardware
-// thread.
+// validation, the full Enterprise traversal and the graph's derived state
+// (reverse, segment digests): throughput in edges/second. The pooled loops
+// run at one thread and at every hardware thread.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "enterprise/enterprise_bfs.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
+#include "graph/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "gpusim/device.hpp"
@@ -179,18 +180,49 @@ void BM_HubCacheProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_HubCacheProbe)->Arg(256)->Arg(1024)->Arg(8192);
 
+// perfbench serve-live's graph: the directed TW stand-in at suite scale 0.5
+// (131,072 vertices, about 980,000 edges).
+graph::Csr tw_graph() {
+  graph::SuiteOptions suite;
+  suite.scale = 0.5;
+  return graph::make_suite_graph("TW", suite).graph;
+}
+
+// Csr::reversed(). Args: scale of a directed R-MAT graph of edge factor 8
+// (0 = the TW stand-in), host pool threads.
 void BM_ReverseCsr(benchmark::State& state) {
   graph::RmatParams p;
   p.scale = static_cast<int>(state.range(0));
   p.edge_factor = 8;
   p.seed = 2;
-  const graph::Csr g = graph::generate_rmat(p);
+  const graph::Csr g = p.scale == 0 ? tw_graph() : graph::generate_rmat(p);
+  const util::ScopedHostPool pool(static_cast<unsigned>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(g.reversed());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_edges()));
 }
-BENCHMARK(BM_ReverseCsr)->Arg(12)->Arg(14);
+BENCHMARK(BM_ReverseCsr)->Apply([](Benchmark* b) {
+  pool_args(b, {12, 14, 18, 0}, "scale");
+});
+
+// SegmentDigests::compute in the default 4 KiB blocks, as a snapshot
+// promotion runs it. Args: Kronecker scale (0 = the TW stand-in), host pool
+// threads.
+void BM_SegmentDigests(benchmark::State& state) {
+  const graph::Csr g =
+      state.range(0) == 0 ? tw_graph()
+                          : bench_graph(static_cast<int>(state.range(0)));
+  const util::ScopedHostPool pool(static_cast<unsigned>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::SegmentDigests::compute(g));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_SegmentDigests)->Apply([](Benchmark* b) {
+  pool_args(b, {18, 0}, "scale");
+});
 
 }  // namespace

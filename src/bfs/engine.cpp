@@ -115,6 +115,8 @@ class EnterpriseEngine final : public Engine {
 
   const sim::Device* device() const override { return &system_->device(); }
 
+  const graph::HubView* hubs() const override { return &system_->hubs(); }
+
  protected:
   BfsResult do_run(graph::vertex_t source) override {
     return system_->run(source);

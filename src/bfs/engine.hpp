@@ -125,6 +125,10 @@ class Engine {
   // Simulated device of the most recent run; null for host engines.
   virtual const sim::Device* device() const { return nullptr; }
 
+  // Hub set borrowed from the graph (graph::Csr::hubs) by the enterprise
+  // engine; null for every other engine and for decorated stacks.
+  virtual const graph::HubView* hubs() const { return nullptr; }
+
   // Derived nvprof-style counters when device-backed.
   std::optional<sim::HardwareCounters> counters() const;
 

@@ -13,7 +13,6 @@
 #include "enterprise/kernels.hpp"
 #include "enterprise/level_loop.hpp"
 #include "enterprise/status_array.hpp"
-#include "graph/degree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
@@ -24,23 +23,22 @@ namespace ent::enterprise {
 using graph::edge_t;
 using graph::vertex_t;
 
-HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options) {
+const graph::HubView& select_hubs(const graph::Csr& g,
+                                  const EnterpriseOptions& options) {
   // 0 = auto: n/1024 clamped to [16, hub_cache_capacity].
   vertex_t target = options.hub_target_count;
   if (target == 0) {
     target = std::clamp<vertex_t>(g.num_vertices() / 1024, 16,
                                   options.hub_cache_capacity);
   }
-  const graph::HubStats stats = graph::select_hub_threshold(g, target);
-  return {stats.threshold, stats.num_hubs,
-          graph::hub_flags(g, stats.threshold)};
+  return g.hubs(target);
 }
 
 EnterpriseBfs::EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options)
     : graph_(&g),
       in_edges_(&g.in_edges()),
       options_(std::move(options)),
-      hubs_(select_hubs(g, options_)),
+      hubs_(&select_hubs(g, options_)),
       digests_(scrub_digests(g, options_.integrity)) {
   device_ = std::make_unique<sim::Device>(options_.device);
   device_->set_trace_sink(options_.sink);
@@ -144,7 +142,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     if (!bottom_up) {
       const edge_t m_f = sum_out_degrees(queue);
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = compute_gamma(queue, hubs_.flags, hubs_.count);
+      trace.gamma = compute_gamma(queue, hubs_->flags, hubs_->count);
       if (options_.allow_direction_switch && !switched && level > 0 &&
           should_switch_to_bottom_up(options_.direction, trace.alpha,
                                      trace.gamma,
@@ -156,8 +154,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
         switched = true;
         sim::KernelRecord qrec;
         qrec.name = "queue_gen(switch)";
-        const HubRefill refill =
-            hubs_.refill(options_.hub_cache ? &cache : nullptr, level);
+        const HubRefill refill{options_.hub_cache ? &cache : nullptr,
+                               &hubs_->flags, level};
         const ScanLayout layout = options_.chunked_switch_scan
                                       ? ScanLayout::kChunked
                                       : ScanLayout::kInterleaved;
@@ -290,8 +288,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
         break;
       }
       sim::KernelRecord qrec;
-      const HubRefill refill =
-          hubs_.refill(options_.hub_cache ? &cache : nullptr, next_level);
+      const HubRefill refill{options_.hub_cache ? &cache : nullptr,
+                             &hubs_->flags, next_level};
       if (options_.bottom_up_filter) {
         qrec.name = "queue_gen(filter)";
         queue = gen.bottom_up_filter(queue, status, refill, qrec);

@@ -108,25 +108,16 @@ inline unsigned scan_launch_width(unsigned scan_threads,
   return scan_threads != 0 ? scan_threads : device.num_smx * 4096;
 }
 
-// Hub set (§4.3): tau is sized so the cache can hold the hub set, which
-// stays at roughly the paper's share of the vertex count
-// (EnterpriseOptions::hub_target_count).
-struct HubSet {
-  graph::edge_t tau = 0;
-  graph::vertex_t count = 0;        // T_h in the gamma definition
-  std::vector<std::uint8_t> flags;  // 1 for each hub, by vertex id
-
-  // Queue-generation refill that caches the hubs visited at `level`; a null
-  // `cache` refills nothing.
-  HubRefill refill(HubCache* cache, std::int32_t level) const {
-    return {cache, &flags, level};
-  }
-};
-HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options);
+// The graph's hub set (§4.3) for `options`: tau is sized so the cache can
+// hold the hub set, which stays at roughly the paper's share of the vertex
+// count (EnterpriseOptions::hub_target_count). The graph builds it for the
+// first caller and every engine on the graph borrows it (Csr::hubs).
+const graph::HubView& select_hubs(const graph::Csr& g,
+                                  const EnterpriseOptions& options);
 
 class EnterpriseBfs {
  public:
-  // Keeps a reference to `g` and borrows its in-edge view (g.in_edges()).
+  // Keeps a reference to `g` and borrows its in-edge and hub views.
   EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options = {});
   ~EnterpriseBfs();
 
@@ -138,9 +129,10 @@ class EnterpriseBfs {
   // Device state of the most recent run (counters, per-kernel timeline).
   const sim::Device& device() const;
 
-  // Hub statistics chosen at construction (tau, T_h).
-  graph::edge_t hub_threshold() const { return hubs_.tau; }
-  graph::vertex_t total_hubs() const { return hubs_.count; }
+  // The hub set borrowed from the graph (tau, T_h, flags).
+  const graph::HubView& hubs() const { return *hubs_; }
+  graph::edge_t hub_threshold() const { return hubs_->tau; }
+  graph::vertex_t total_hubs() const { return hubs_->count; }
 
   const EnterpriseOptions& options() const { return options_; }
 
@@ -149,7 +141,7 @@ class EnterpriseBfs {
   const graph::Csr* in_edges_;  // g.in_edges(): == graph_ when undirected
   EnterpriseOptions options_;
   std::unique_ptr<sim::Device> device_;
-  HubSet hubs_;
+  const graph::HubView* hubs_;  // g.hubs(): shared by every engine on g
   // Load-time segment digests, computed only when a scrub interval is set.
   graph::SegmentDigests digests_;
 };

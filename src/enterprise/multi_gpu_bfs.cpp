@@ -33,7 +33,7 @@ MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
                   ? graph::partition_equal_vertices(g.num_vertices(),
                                                     options_.num_gpus)
                   : graph::partition_equal_edges(g, options_.num_gpus)),
-      hubs_(select_hubs(g, options_.per_device)),
+      hubs_(&select_hubs(g, options_.per_device)),
       digests_(scrub_digests(g, options_.per_device.integrity)),
       detector_(options_.straggler) {
   ENT_ASSERT_MSG(!g.directed(),
@@ -238,14 +238,14 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         for (vertex_t v : q) {
           if (v >= n) continue;
           m_f += g.out_degree(v);
-          if (hubs_.flags[v] != 0) ++hub_in_queue;
+          if (hubs_->flags[v] != 0) ++hub_in_queue;
         }
       }
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = hubs_.count == 0
+      trace.gamma = hubs_->count == 0
                         ? 0.0
                         : 100.0 * static_cast<double>(hub_in_queue) /
-                              static_cast<double>(hubs_.count);
+                              static_cast<double>(hubs_->count);
       if (should_switch_to_bottom_up(eopt.direction, trace.alpha,
                                      trace.gamma)) {
         bottom_up = true;
@@ -258,7 +258,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
           rec.name = "queue_gen(switch)";
           queues[p] = gen.direction_switch(
               statuses[p],
-              hubs_.refill(eopt.hub_cache ? &caches[p] : nullptr, level),
+              {eopt.hub_cache ? &caches[p] : nullptr, &hubs_->flags, level},
               ranges_[p].begin, ranges_[p].end, rec);
           max_scan = std::max(max_scan, system_.device(p).run_kernel(rec));
         }
@@ -499,7 +499,8 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         rec.name = "queue_gen(filter)";
         queues[p] = gen.bottom_up_filter(
             queues[p], statuses[p],
-            hubs_.refill(eopt.hub_cache ? &caches[p] : nullptr, next_level),
+            {eopt.hub_cache ? &caches[p] : nullptr, &hubs_->flags,
+             next_level},
             rec);
       }
       qgen_ms[p] = dev.run_kernel(rec);

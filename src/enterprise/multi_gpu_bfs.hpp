@@ -69,7 +69,7 @@ class MultiGpuEnterpriseBfs {
   MultiGpuOptions options_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
-  HubSet hubs_;
+  const graph::HubView* hubs_;  // borrowed from the graph (select_hubs)
   MultiGpuRunStats stats_;
   // Load-time segment digests, computed only when a scrub interval is set
   // (per_device.integrity.scrub_interval).

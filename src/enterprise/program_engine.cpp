@@ -44,7 +44,7 @@ ProgramRunner::ProgramRunner(const graph::Csr& g,
       device_ids_(std::move(device_ids)),
       system_(options_.device, num_devices, interconnect),
       ranges_(graph::partition_equal_vertices(g.num_vertices(), num_devices)),
-      hubs_(select_hubs(g, options_)),
+      hubs_(&select_hubs(g, options_)),
       digests_(scrub_digests(g, options_.integrity)) {
   ENT_ASSERT_MSG(program_ != nullptr, "ProgramRunner needs a program");
   // In-edge view for symmetric relaxations (cc on directed graphs); on
@@ -102,7 +102,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       P == 1 ? scan_threads_total : scan_threads_total / P + 1;
 
   std::vector<HubCache> caches(P, HubCache(options_.hub_cache_capacity));
-  const bool use_hub = options_.hub_cache && hubs_.count > 0;
+  const bool use_hub = options_.hub_cache && hubs_->count > 0;
 
   bfs::BfsResult result;
   result.source = source;
@@ -204,7 +204,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
             improved.push_back(v);
             if (first_touch[v] < 0) first_touch[v] = superstep + 1;
           };
-          if (use_hub && hubs_.flags[v] != 0) {
+          if (use_hub && hubs_->flags[v] != 0) {
             // §4.3 adapted: a cache hit proves this hub was already marked
             // improved this superstep — skip the redundant global write.
             ++cache_probes;

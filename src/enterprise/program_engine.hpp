@@ -74,7 +74,7 @@ class ProgramRunner {
   std::vector<unsigned> device_ids_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
-  HubSet hubs_;
+  const graph::HubView* hubs_;  // borrowed from the graph (select_hubs)
   // Load-time segment digests, computed only when scrubbing is armed.
   graph::SegmentDigests digests_;
 };

@@ -21,7 +21,7 @@ StreamedBfs::StreamedBfs(const graph::Csr& g, StreamedOptions options)
       device_(std::make_unique<sim::Device>(options_.core.device)),
       link_(options_.link),
       ranges_(graph::partition_equal_edges(g, options_.num_partitions)),
-      hubs_(select_hubs(g, options_.core)) {
+      hubs_(&select_hubs(g, options_.core)) {
   ENT_ASSERT_MSG(!g.directed(),
                  "streamed BFS requires an undirected graph");
   ENT_ASSERT(options_.resident_partitions >= 1);
@@ -122,7 +122,7 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
       edge_t m_f = 0;
       for (vertex_t v : queue) m_f += g.out_degree(v);
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = compute_gamma(queue, hubs_.flags, hubs_.count);
+      trace.gamma = compute_gamma(queue, hubs_->flags, hubs_->count);
       if (options_.core.allow_direction_switch && !switched && level > 0 &&
           should_switch_to_bottom_up(options_.core.direction, trace.alpha,
                                      trace.gamma)) {
@@ -132,7 +132,7 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
         qrec.name = "queue_gen(switch)";
         queue = gen.direction_switch(
             status,
-            hubs_.refill(options_.core.hub_cache ? &cache : nullptr, level),
+            {options_.core.hub_cache ? &cache : nullptr, &hubs_->flags, level},
             qrec);
         trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
         if (queue.empty()) break;
@@ -189,8 +189,8 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
       qrec.name = "queue_gen(filter)";
       queue = gen.bottom_up_filter(
           queue, status,
-          hubs_.refill(options_.core.hub_cache ? &cache : nullptr,
-                       next_level),
+          {options_.core.hub_cache ? &cache : nullptr, &hubs_->flags,
+           next_level},
           qrec);
       trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
     }

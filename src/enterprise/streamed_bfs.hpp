@@ -65,7 +65,7 @@ class StreamedBfs {
   std::vector<graph::VertexRange> ranges_;
   std::vector<std::uint64_t> partition_bytes_;
   std::list<unsigned> lru_;  // front = most recent
-  HubSet hubs_;
+  const graph::HubView* hubs_;  // borrowed from the graph (select_hubs)
   StreamedRunStats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/degree.hpp"
 #include "graph/validate.hpp"
 #include "util/assert.hpp"
 
@@ -14,32 +15,35 @@ Csr::Csr(vertex_t num_vertices, std::vector<edge_t> row_offsets,
       row_offsets_(std::move(row_offsets)),
       col_indices_(std::move(col_indices)) {
   check_invariants();
-  if (directed_) in_edges_ = std::make_unique<InEdges>();
-}
-
-Csr Csr::reversed() const {
-  std::vector<edge_t> in_offsets(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  // Count in-degrees (into slot v+1 so the prefix pass lands offsets).
-  for (vertex_t dst : col_indices_) ++in_offsets[static_cast<std::size_t>(dst) + 1];
-  for (std::size_t v = 0; v < num_vertices_; ++v) in_offsets[v + 1] += in_offsets[v];
-
-  std::vector<vertex_t> in_cols(col_indices_.size());
-  std::vector<edge_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
-  for (vertex_t src = 0; src < num_vertices_; ++src) {
-    for (vertex_t dst : neighbors(src)) {
-      in_cols[cursor[dst]++] = src;
-    }
-  }
-  return Csr(num_vertices_, std::move(in_offsets), std::move(in_cols),
-             directed_);
 }
 
 const Csr& Csr::in_edges() const {
-  if (in_edges_ == nullptr) return *this;
-  std::call_once(in_edges_->built, [this] {
-    in_edges_->csr = std::make_unique<const Csr>(reversed());
+  if (!directed_) return *this;
+  std::call_once(derived_->in_edges_built, [this] {
+    derived_->in_edges = std::make_unique<const Csr>(reversed());
   });
-  return *in_edges_->csr;
+  return *derived_->in_edges;
+}
+
+const HubView& Csr::hubs(vertex_t target_hubs) const {
+  HubEntry* entry = nullptr;
+  {
+    std::lock_guard lock(derived_->hubs_mutex);
+    for (const auto& e : derived_->hubs) {
+      if (e->target == target_hubs) entry = e.get();
+    }
+    if (entry == nullptr) {
+      auto& added = derived_->hubs.emplace_back(
+          std::make_unique<HubEntry>(target_hubs));
+      entry = added.get();
+    }
+  }
+  std::call_once(entry->built, [this, entry] {
+    const HubStats stats = select_hub_threshold(*this, entry->target);
+    entry->view = {stats.threshold, stats.num_hubs,
+                   hub_flags(*this, stats.threshold)};
+  });
+  return entry->view;
 }
 
 double Csr::average_degree() const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -15,13 +16,23 @@
 
 namespace ent::graph {
 
+// Hub set (§4.3) for one target hub count: tau is the smallest out-degree
+// that leaves at most the target above it (select_hub_threshold,
+// graph/degree.hpp), and a vertex is a hub when its out-degree exceeds tau.
+struct HubView {
+  edge_t tau = 0;
+  vertex_t count = 0;               // T_h in the gamma definition
+  std::vector<std::uint8_t> flags;  // 1 for each hub, by vertex id
+};
+
 class Csr {
  public:
   Csr() = default;
   Csr(vertex_t num_vertices, std::vector<edge_t> row_offsets,
       std::vector<vertex_t> col_indices, bool directed);
 
-  // Move-only: a move carries the in-edge view (in_edges()) with the graph.
+  // Move-only: a move carries the derived views (in_edges(), hubs()) with
+  // the graph.
   Csr(Csr&&) noexcept = default;
   Csr& operator=(Csr&&) noexcept = default;
   Csr(const Csr&) = delete;
@@ -56,8 +67,10 @@ class Csr {
     return std::as_writable_bytes(std::span<vertex_t>(col_indices_));
   }
 
-  // A fresh reverse (in-edge) CSR, built serially and invariant-checked on
-  // every call. Engines and validators borrow in_edges() instead.
+  // A fresh reverse (in-edge) CSR, built on util::host_pool() by
+  // build_csr's counting scatter (defined in builder.cpp) and
+  // invariant-checked on every call; each in-row lists its sources in
+  // ascending order. Engines and validators borrow in_edges() instead.
   Csr reversed() const;
 
   // In-edge view, which bottom-up BFS and tree validation read: `*this`
@@ -65,6 +78,11 @@ class Csr {
   // callers wait for it) and kept for the graph's lifetime. It reflects the
   // adjacency at that first call.
   const Csr& in_edges() const;
+
+  // Hub view for `target_hubs` (>= 1): built by the first call for that
+  // target (concurrent callers wait for it) and kept for the graph's
+  // lifetime, one per target asked for. Reads only the row offsets.
+  const HubView& hubs(vertex_t target_hubs) const;
 
   // Average out-degree across all vertices.
   double average_degree() const;
@@ -85,11 +103,21 @@ class Csr {
   bool directed_ = false;
   std::vector<edge_t> row_offsets_;     // size num_vertices_ + 1
   std::vector<vertex_t> col_indices_;   // size num_edges
-  struct InEdges {
+  struct HubEntry {
+    explicit HubEntry(vertex_t t) : target(t) {}
+    vertex_t target;
     std::once_flag built;
-    std::unique_ptr<const Csr> csr;
+    HubView view;
   };
-  std::unique_ptr<InEdges> in_edges_;  // allocated for directed graphs only
+  // State derived from the arrays on first use. Behind a pointer, so the
+  // graph moves and its views stay where their borrowers point.
+  struct Derived {
+    std::once_flag in_edges_built;
+    std::unique_ptr<const Csr> in_edges;  // directed graphs only
+    std::mutex hubs_mutex;                // guards the list, not the views
+    std::vector<std::unique_ptr<HubEntry>> hubs;
+  };
+  std::unique_ptr<Derived> derived_ = std::make_unique<Derived>();
 };
 
 }  // namespace ent::graph

@@ -40,17 +40,25 @@ HubStats select_hub_threshold(const Csr& g, vertex_t target_hubs) {
   ENT_ASSERT(target_hubs >= 1);
   // tau = degree of the (target_hubs)-th highest vertex; everything strictly
   // above it qualifies, which keeps the hub count at or below the target
-  // even when ties cross the boundary. Only that order statistic is needed,
-  // so nth_element finds it in O(n) instead of sorting every degree.
+  // even when ties cross the boundary. Only that order statistic is needed:
+  // a min-heap of the target_hubs + 1 highest degrees seen holds it on top
+  // after one pass, and most vertices fall below the top at one compare.
   edge_t tau = 0;
   if (g.num_vertices() > target_hubs) {
-    std::vector<edge_t> degrees(g.num_vertices());
+    std::vector<edge_t> top;
+    top.reserve(static_cast<std::size_t>(target_hubs) + 1);
     for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-      degrees[v] = g.out_degree(v);
+      const edge_t d = g.out_degree(v);
+      if (top.size() <= target_hubs) {
+        top.push_back(d);
+        std::push_heap(top.begin(), top.end(), std::greater<>());
+      } else if (d > top.front()) {
+        std::pop_heap(top.begin(), top.end(), std::greater<>());
+        top.back() = d;
+        std::push_heap(top.begin(), top.end(), std::greater<>());
+      }
     }
-    const auto nth = degrees.begin() + target_hubs;
-    std::nth_element(degrees.begin(), nth, degrees.end(), std::greater<>());
-    tau = *nth;
+    tau = top.front();
   }
   return hub_stats_for_threshold(g, tau);
 }

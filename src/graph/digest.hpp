@@ -40,12 +40,14 @@ class SegmentDigests {
 
   SegmentDigests() = default;
 
-  // Hashes g's row-offset and adjacency segments in `block_bytes` blocks.
+  // Hashes g's row-offset and adjacency segments in `block_bytes` blocks,
+  // on util::host_pool() in fixed runs of blocks.
   static SegmentDigests compute(const Csr& g,
                                 std::size_t block_bytes = kDefaultBlockBytes);
 
-  // Re-hashes g and returns the first mismatching block, or nullopt when
-  // every block still matches. Callers surface a mismatch as the typed
+  // Re-hashes g as compute does and returns the first mismatching block
+  // (of row_offsets, then adjacency), or nullopt when every block still
+  // matches. Callers surface a mismatch as the typed
   // sim::IntegrityFault (gpusim/fault.hpp).
   std::optional<DigestMismatch> verify(const Csr& g) const;
 

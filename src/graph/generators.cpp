@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -80,6 +82,20 @@ void check_rmat_params(const RmatParams& params) {
     throw GraphFormatError({}, "rmat edge factor " +
                                    std::to_string(params.edge_factor) +
                                    " out of range: need edge_factor >= 1");
+  }
+  // The edge list build_csr can count on one thread: at most UINT32_MAX
+  // edges. Bounding it here keeps a list that cannot be allocated from
+  // escaping as std::bad_alloc.
+  constexpr std::uint64_t kMaxEdges = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t edges = (std::uint64_t{1} << params.scale) *
+                              static_cast<std::uint64_t>(params.edge_factor);
+  if (edges > kMaxEdges) {
+    throw GraphFormatError(
+        {}, "rmat scale " + std::to_string(params.scale) +
+                " and edge factor " + std::to_string(params.edge_factor) +
+                " give " + std::to_string(edges) +
+                " edges: need 2^scale * edge_factor <= " +
+                std::to_string(kMaxEdges));
   }
   const double a = params.a;
   const double b = params.b;

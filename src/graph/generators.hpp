@@ -34,8 +34,9 @@ struct RmatParams {
 
 // Recursive-matrix edge sampling (Chakrabarti et al.); the Graph500
 // Kronecker generator is the symmetrized special case below. A scale or edge
-// factor out of range, or probabilities that are negative, not finite or
-// sum above 1, throw graph::GraphFormatError before anything is allocated.
+// factor out of range, more than UINT32_MAX edges (2^scale * edge_factor),
+// or probabilities that are negative, not finite or sum above 1, throw
+// graph::GraphFormatError before anything is allocated.
 Csr generate_rmat(const RmatParams& params);
 
 // The edges generate_rmat draws, before it shuffles the vertex labels and

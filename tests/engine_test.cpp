@@ -280,6 +280,28 @@ TEST(Engine, CloneRebuildsAnIndependentIdenticalEngine) {
   EXPECT_EQ(original->trace().size(), first.level_trace.size());
 }
 
+TEST(Engine, EnterpriseEnginesOnOneGraphBorrowOneHubSet) {
+  const Csr g = test_graph(12);
+  const auto a = bfs::make_engine("enterprise", g);
+  const auto b = bfs::make_engine("enterprise", g);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  const auto clone = a->clone();
+  ASSERT_NE(clone, nullptr);
+  const graph::HubView* hubs = a->hubs();
+  ASSERT_NE(hubs, nullptr);
+  EXPECT_EQ(b->hubs(), hubs);
+  EXPECT_EQ(clone->hubs(), hubs);
+  // The auto target at n = 1024 is 16 (EnterpriseOptions::hub_target_count).
+  EXPECT_EQ(&g.hubs(16), hubs);
+  const enterprise::EnterpriseBfs direct(g);
+  EXPECT_EQ(&direct.hubs(), hubs);
+  EXPECT_EQ(direct.hub_threshold(), hubs->tau);
+  EXPECT_EQ(direct.total_hubs(), hubs->count);
+  EXPECT_GT(hubs->count, 0u);
+  EXPECT_EQ(bfs::make_engine("bl", g)->hubs(), nullptr);
+}
+
 TEST(Engine, CloneOfDecoratedStackClonesTheWholeStack) {
   const Csr g = test_graph(13);
   bfs::EngineConfig config;

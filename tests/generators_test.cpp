@@ -85,6 +85,25 @@ TEST(Rmat, BadProbabilitiesThrowTyped) {
       }
     }
   }
+  // Good probabilities, but an edge list (2^20 * 2e9 edges) that no build
+  // could count: typed, through both entry points, and before allocating.
+  RmatParams p;
+  p.scale = 20;
+  p.edge_factor = 2000000000;
+  for (const bool edges_only : {false, true}) {
+    try {
+      if (edges_only) {
+        (void)generate_rmat_edges(p);
+      } else {
+        (void)generate_rmat(p);
+      }
+      FAIL() << "expected GraphFormatError for the edge count";
+    } catch (const GraphFormatError& e) {
+      EXPECT_NE(e.invariant().find("scale 20 and edge factor 2000000000"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Kronecker, SymmetrizedAndSkewed) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <latch>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -12,9 +13,12 @@
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree.hpp"
+#include "graph/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
+#include "graph/suite.hpp"
+#include "util/pool.hpp"
 #include "util/random.hpp"
 
 namespace ent::graph {
@@ -112,6 +116,148 @@ TEST(Csr, MovedToGraphKeepsTheViewItsSourceBuilt) {
   const auto in3 = moved.in_edges().neighbors(3);
   EXPECT_EQ(std::vector<vertex_t>(in3.begin(), in3.end()),
             (std::vector<vertex_t>{1, 2}));
+}
+
+// ---- pooled passes ------------------------------------------------------------
+
+constexpr unsigned kPoolSizes[] = {1, 2, 4, 7};
+
+// The serial counting transpose: in-degrees, their prefix, then every edge
+// scattered in source order through one cursor per row.
+struct Arrays {
+  std::vector<edge_t> offsets;
+  std::vector<vertex_t> cols;
+};
+Arrays reference_transpose(const Csr& g) {
+  const std::size_t n = g.num_vertices();
+  Arrays r{std::vector<edge_t>(n + 1, 0),
+           std::vector<vertex_t>(g.num_edges())};
+  for (const vertex_t dst : g.col_indices()) ++r.offsets[dst + 1];
+  for (std::size_t v = 0; v < n; ++v) r.offsets[v + 1] += r.offsets[v];
+  std::vector<edge_t> cursor(r.offsets.begin(), r.offsets.end() - 1);
+  for (vertex_t src = 0; src < n; ++src) {
+    for (const vertex_t dst : g.neighbors(src)) r.cols[cursor[dst]++] = src;
+  }
+  return r;
+}
+
+// Directed R-MAT with its duplicates and self-loops, plus one explicit of
+// each, a row of 5,000 entries, and a last vertex with no out-edges.
+Csr awkward_rmat(int scale) {
+  RmatParams p;
+  p.scale = scale;
+  p.edge_factor = 16;
+  p.seed = 40 + static_cast<std::uint64_t>(scale);
+  std::vector<Edge> edges = generate_rmat_edges(p);
+  const auto n = static_cast<vertex_t>(1u << scale);
+  std::erase_if(edges, [n](const Edge& e) { return e.src == n - 1; });
+  edges.push_back({1, 1});
+  edges.push_back({2, 3});
+  edges.push_back({2, 3});
+  for (vertex_t k = 0; k < 5000; ++k) edges.push_back({5, (k * 7919) % n});
+  return build_csr(n, std::move(edges));
+}
+
+TEST(PooledReverse, MatchesSerialTransposeAtEveryPoolSize) {
+  std::vector<Csr> graphs;
+  for (int scale = 12; scale <= 16; ++scale) graphs.push_back(awkward_rmat(scale));
+  SuiteOptions tw;
+  tw.scale = 1.0 / 16;
+  graphs.push_back(std::move(make_suite_graph("TW", tw).graph));
+  for (const Csr& g : graphs) {
+    ASSERT_TRUE(g.directed());
+    const Arrays expected = reference_transpose(g);
+    for (const unsigned threads : kPoolSizes) {
+      util::ScopedHostPool pool(threads);
+      const Csr r = g.reversed();
+      EXPECT_TRUE(std::ranges::equal(r.row_offsets(), expected.offsets))
+          << "n " << g.num_vertices() << " threads " << threads;
+      EXPECT_TRUE(std::ranges::equal(r.col_indices(), expected.cols))
+          << "n " << g.num_vertices() << " threads " << threads;
+    }
+  }
+}
+
+// The first block (of `block` bytes) where the two byte strings differ.
+std::size_t first_differing_block(std::span<const std::byte> a,
+                                  std::span<const std::byte> b,
+                                  std::size_t block) {
+  const auto at = std::ranges::mismatch(a, b).in1;
+  return static_cast<std::size_t>(at - a.begin()) / block;
+}
+
+TEST(PooledDigests, EveryBlockMatchesSerialFnvAtEveryPoolSize) {
+  const Csr g = awkward_rmat(14);
+  const auto offsets = std::as_bytes(g.row_offsets());
+  const auto adjacency = std::as_bytes(g.col_indices());
+  for (const std::size_t block : {std::size_t{1}, std::size_t{64},
+                                  std::size_t{4096}}) {
+    if (block > 1) {
+      ASSERT_NE(offsets.size() % block, 0u) << "want a partial last block";
+    }
+    const auto expect_blocks = [block](std::span<const std::byte> bytes,
+                                       std::span<const std::uint64_t> got) {
+      ASSERT_EQ(got.size(), (bytes.size() + block - 1) / block);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const std::size_t off = i * block;
+        ASSERT_EQ(got[i],
+                  fnv1a64(bytes.subspan(off, std::min(block, bytes.size() - off))))
+            << "block " << i << " of " << block << " bytes";
+      }
+    };
+    for (const unsigned threads : kPoolSizes) {
+      util::ScopedHostPool pool(threads);
+      const SegmentDigests d = SegmentDigests::compute(g, block);
+      expect_blocks(offsets, d.row_offset_digests());
+      expect_blocks(adjacency, d.adjacency_digests());
+      EXPECT_FALSE(d.verify(g).has_value());
+    }
+  }
+}
+
+TEST(PooledDigests, VerifyNamesTheLowestCorruptBlockAtEveryPoolSize) {
+  const Csr g = awkward_rmat(14);
+  const auto copy = [&g](std::vector<edge_t> offsets) {
+    return Csr(g.num_vertices(), std::move(offsets),
+               std::vector<vertex_t>(g.col_indices().begin(),
+                                     g.col_indices().end()),
+               g.directed());
+  };
+  const std::vector<edge_t> offsets(g.row_offsets().begin(),
+                                    g.row_offsets().end());
+  // One corrupt block per segment: the last entry of row u moves into row
+  // u + 1 (the offsets stay a valid CSR), and adjacency block 3 flips.
+  vertex_t u = 9000;
+  while (g.out_degree(u) == 0) ++u;
+  std::vector<edge_t> moved = offsets;
+  --moved[u + 1];
+  Csr both = copy(moved);
+  both.raw_adjacency_bytes()[3 * 4096 + 5] ^= std::byte{0x10};
+  // Two corrupt adjacency blocks, in different pool chunks.
+  Csr twice = copy(offsets);
+  twice.raw_adjacency_bytes()[200 * 4096 + 1] ^= std::byte{0x01};
+  twice.raw_adjacency_bytes()[10 * 4096 + 2] ^= std::byte{0x80};
+
+  const std::size_t offsets_block = first_differing_block(
+      std::as_bytes(g.row_offsets()), std::as_bytes(both.row_offsets()), 4096);
+  const std::size_t adjacency_block = first_differing_block(
+      std::as_bytes(g.col_indices()), std::as_bytes(twice.col_indices()), 4096);
+  ASSERT_EQ(offsets_block, (u + 1) * sizeof(edge_t) / 4096);
+  ASSERT_GT(offsets_block, 3u);
+  ASSERT_EQ(adjacency_block, 10u);
+  for (const unsigned threads : kPoolSizes) {
+    util::ScopedHostPool pool(threads);
+    const SegmentDigests d = SegmentDigests::compute(g);
+    const auto m1 = d.verify(both);
+    ASSERT_TRUE(m1.has_value()) << "threads " << threads;
+    EXPECT_EQ(m1->segment, "row_offsets") << "threads " << threads;
+    EXPECT_EQ(m1->block, offsets_block) << "threads " << threads;
+    const auto m2 = d.verify(twice);
+    ASSERT_TRUE(m2.has_value()) << "threads " << threads;
+    EXPECT_EQ(m2->segment, "adjacency") << "threads " << threads;
+    EXPECT_EQ(m2->block, adjacency_block) << "threads " << threads;
+    EXPECT_EQ(m2->expected, d.adjacency_digests()[adjacency_block]);
+  }
 }
 
 TEST(Builder, SymmetrizeDoublesEdges) {
@@ -216,6 +362,59 @@ TEST(Degree, HubThresholdMatchesFullSortReference) {
       EXPECT_LE(hubs.num_hubs, target) << "trial " << trial;
     }
   }
+}
+
+// ---- hub view -------------------------------------------------------------------
+
+TEST(HubView, MatchesThresholdAndFlags) {
+  const Csr g = directed_rmat();
+  const vertex_t n = g.num_vertices();
+  for (const vertex_t target : {vertex_t{1}, vertex_t{16}, vertex_t{128}, n,
+                                n + 5}) {
+    const HubView& view = g.hubs(target);
+    const HubStats stats = select_hub_threshold(g, target);
+    EXPECT_EQ(view.tau, stats.threshold) << "target " << target;
+    EXPECT_EQ(view.count, stats.num_hubs) << "target " << target;
+    EXPECT_EQ(view.flags, hub_flags(g, stats.threshold)) << "target " << target;
+    EXPECT_EQ(&g.hubs(target), &view) << "target " << target;
+  }
+}
+
+TEST(HubView, RacingFirstCallsGetOneView) {
+  const Csr g = directed_rmat();
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const HubView*> views(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      views[static_cast<std::size_t>(t)] = &g.hubs(16);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const HubView* view : views) EXPECT_EQ(view, views[0]);
+  EXPECT_EQ(views[0]->tau, select_hub_threshold(g, 16).threshold);
+}
+
+TEST(HubView, MovedToGraphKeepsTheView) {
+  Csr source = directed_rmat();
+  const HubView* view = &source.hubs(16);
+  const Csr moved = std::move(source);
+  EXPECT_EQ(&moved.hubs(16), view);
+  EXPECT_EQ(view->flags.size(), moved.num_vertices());
+}
+
+TEST(HubView, TwoTargetsGiveTwoViews) {
+  const Csr g = directed_rmat();
+  const HubView& few = g.hubs(4);
+  const HubView& many = g.hubs(64);
+  EXPECT_NE(&few, &many);
+  EXPECT_LE(few.count, 4u);
+  EXPECT_LE(many.count, 64u);
+  EXPECT_GE(few.tau, many.tau);
+  EXPECT_EQ(&g.hubs(4), &few);
+  EXPECT_EQ(&g.hubs(64), &many);
 }
 
 // ---- io -----------------------------------------------------------------------

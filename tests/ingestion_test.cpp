@@ -160,7 +160,10 @@ TEST(GeneratorErrors, BadKroneckerParametersThrowTyped) {
                {29, 16, "scale 29"},  // 2^29 > BuildOptions.max_vertices
                {32, 16, "scale 32"},
                {10, 0, "edge factor 0"},
-               {10, -1, "edge factor -1"}};
+               {10, -1, "edge factor -1"},
+               // 2^20 * 2e9 edges: each bound holds, their product does not.
+               {20, 2000000000, "scale 20 and edge factor 2000000000"},
+               {28, 16, "scale 28 and edge factor 16"}};
   for (const auto& c : cases) {
     try {
       (void)ent::graph::generate_kronecker({c.scale, c.edge_factor, 1});
