@@ -190,69 +190,26 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
         bottom_up ? bfs::Direction::kBottomUp : bfs::Direction::kTopDown;
     const std::int32_t next_level = level + 1;
 
-    vertex_t newly_visited = 0;
     const graph::Csr& expand_graph = bottom_up ? *in_edges_ : g;
     HubCache* probe_cache =
         (bottom_up && options_.hub_cache) ? &cache : nullptr;
     const QueueOrder order = bottom_up ? bu_order : QueueOrder::kScattered;
-
-    if (options_.workload_balancing) {
-      // Classification happens alongside queue generation (§4.2: each scan
-      // thread routes discovered frontiers into one of four bins by
-      // out-degree), so its work joins the level's concurrent group rather
-      // than paying a separate launch.
-      sim::KernelRecord crec;
-      crec.name = "classify";
-      const ClassifiedQueues classified = classify_frontiers(
-          expand_graph, queue, device_->memory(), crec);
-
-      std::vector<sim::KernelRecord> recs;
-      recs.push_back(std::move(crec));
-      // Parallel to `recs`: frontier count behind each kernel, for the span
-      // stream and the per-class occupancy counters.
-      std::vector<std::uint64_t> rec_items{queue.size()};
-      for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
-                               Granularity::kCta, Granularity::kGrid}) {
-        const auto& sub = classified.of(gran);
-        loop.count_queue(gran, sub.size());
-        if (sub.empty()) continue;
-        sim::KernelRecord rec;
-        rec.name = std::string(bottom_up ? "BU-" : "") + to_string(gran);
-        const ExpandOutput out =
-            bottom_up
-                ? expand_bottom_up(expand_graph, status, parents, sub, gran,
-                                   next_level, probe_cache, device_->memory(),
-                                   rec, order)
-                : expand_top_down(expand_graph, status, parents, sub, gran,
-                                  next_level, device_->memory(), rec, order,
-                                  discovered);
-        newly_visited += out.newly_visited;
-        trace.edges_inspected += out.edges_inspected;
-        recs.push_back(std::move(rec));
-        rec_items.push_back(sub.size());
-      }
-      trace.expand_ms += launch_group(*device_, std::move(recs), rec_items,
-                                      trace, sink, "expand");
-    } else {
-      // Fixed-granularity configuration: one kernel for every frontier (the
-      // paper's TS-only setup uses CTA, mirroring the BL baseline; Thread
-      // and Warp are kept for the classification ablation).
-      const Granularity gran = options_.fixed_granularity;
-      sim::KernelRecord rec;
-      rec.name = std::string(bottom_up ? "BU-Expand(" : "Expand(") +
-                 to_string(gran) + ")";
-      ExpandOutput out =
-          bottom_up ? expand_bottom_up(expand_graph, status, parents, queue,
-                                       gran, next_level, probe_cache,
-                                       device_->memory(), rec, order)
-                    : expand_top_down(expand_graph, status, parents, queue,
-                                      gran, next_level, device_->memory(),
-                                      rec, order, discovered);
-      newly_visited += out.newly_visited;
-      trace.edges_inspected += out.edges_inspected;
-      trace.expand_ms += launch(*device_, std::move(rec), trace, sink,
-                                "expand", queue.size());
-    }
+    const DispatchOutput expanded = loop.dispatch(
+        *device_, expand_graph, queue, {.prefix = bottom_up ? "BU-" : ""},
+        &trace,
+        [&](std::span<const vertex_t> sub, Granularity gran,
+            sim::KernelRecord& rec) {
+          return bottom_up
+                     ? expand_bottom_up(expand_graph, status, parents, sub,
+                                        gran, next_level, probe_cache,
+                                        device_->memory(), rec, order)
+                     : expand_top_down(expand_graph, status, parents, sub,
+                                       gran, next_level, device_->memory(),
+                                       rec, order, discovered);
+        });
+    const vertex_t newly_visited = expanded.newly_visited;
+    trace.edges_inspected += expanded.edges_inspected;
+    trace.expand_ms += expanded.ms;
     trace.frontier_count = static_cast<vertex_t>(queue.size());
 
     // Hub-cache telemetry: probe/hit deltas from this level's bottom-up

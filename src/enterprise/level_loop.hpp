@@ -1,8 +1,10 @@
 // The per-level plumbing of the Enterprise superstep drivers: single-GPU
 // (§4.1-4.3), multi-GPU (§4.4) and the vertex-program engine keep their own
-// `while` loops, whose bodies share no code, and call one LevelLoop at each
-// level top, at each BFS level end and after the loop. With nothing attached
-// each call is a few predictable branches: no allocation, no strings.
+// `while` loops and call one LevelLoop at each level top, for each device's
+// workload-balancing step (§4.2's classify-and-expand, `dispatch`), at each
+// BFS level end and after the loop. The drivers differ only in the expand
+// step they hand to `dispatch`. With nothing attached each check is a few
+// predictable branches: no allocation, no strings.
 #pragma once
 
 #include <array>
@@ -11,11 +13,14 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bfs/program.hpp"
 #include "bfs/result.hpp"
+#include "enterprise/classify.hpp"
 #include "enterprise/enterprise_bfs.hpp"
+#include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
 #include "gpusim/fault.hpp"
 #include "graph/digest.hpp"
@@ -40,6 +45,21 @@ struct Shard {
   std::span<std::byte> state;
   std::vector<graph::vertex_t>* queue = nullptr;
   const StatusArray* status = nullptr;
+};
+
+// The kernel names of one dispatch step. A class kernel is `prefix` plus its
+// granularity (`BU-Warp`, `Thread`); the WB-off kernel is `prefix`, `stem`
+// and the granularity in parentheses (`BU-Expand(CTA)`, `Relax(CTA)`). The
+// expansion kernels' spans carry `phase`.
+struct KernelNames {
+  const char* prefix = "";
+  const char* stem = "Expand";
+  const char* phase = "expand";
+};
+
+// What one dispatch step expanded, and its priced time on the device.
+struct DispatchOutput : ExpandOutput {
+  double ms = 0.0;
 };
 
 struct DriverTraits {
@@ -100,6 +120,69 @@ class LevelLoop {
     if (check(level, now_ms, shards, scrubs_on_)) audit();
   }
 
+  // One device's workload-balancing step (§4.2). Classifies `queue` on `g`
+  // into the four granularity queues and calls `expand(sub, gran, rec)`,
+  // which charges `rec` and returns its ExpandOutput, for each non-empty
+  // class; the classify kernel and the class kernels then run as one Hyper-Q
+  // group. Classification happens alongside queue generation (each scan
+  // thread routes a frontier into one of four bins by out-degree), so it
+  // joins the group rather than paying a separate launch. With WB off, one
+  // kernel expands the whole queue at `fixed_granularity` (the paper's
+  // TS-only setup uses CTA, like the BL baseline). With a `trace` the
+  // kernels are listed in it, stream their spans and count the class sizes
+  // into enterprise.queue.<granularity>; a null `trace` only prices them.
+  template <std::invocable<std::span<const graph::vertex_t>, Granularity,
+                           sim::KernelRecord&>
+                Expand>
+  DispatchOutput dispatch(sim::Device& dev, const graph::Csr& g,
+                          std::span<const graph::vertex_t> queue,
+                          const KernelNames& names, bfs::LevelTrace* trace,
+                          Expand&& expand) {
+    DispatchOutput total;
+    const auto run = [&](std::span<const graph::vertex_t> sub,
+                         Granularity gran, sim::KernelRecord& rec) {
+      const ExpandOutput out = expand(sub, gran, rec);
+      total.newly_visited += out.newly_visited;
+      total.edges_inspected += out.edges_inspected;
+    };
+    if (!options_.workload_balancing) {
+      const Granularity gran = options_.fixed_granularity;
+      sim::KernelRecord rec;
+      rec.name = std::string(names.prefix) + names.stem + "(" +
+                 to_string(gran) + ")";
+      run(queue, gran, rec);
+      total.ms = trace != nullptr
+                     ? launch(dev, std::move(rec), *trace, options_.sink,
+                              names.phase, queue.size())
+                     : dev.run_kernel(std::move(rec));
+      return total;
+    }
+    sim::KernelRecord crec;
+    crec.name = "classify";
+    const ClassifiedQueues classified =
+        classify_frontiers(g, queue, dev.memory(), crec);
+    std::vector<sim::KernelRecord> recs;
+    recs.push_back(std::move(crec));
+    // Parallel to `recs`: the frontier count behind each kernel.
+    std::vector<std::uint64_t> items{queue.size()};
+    for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
+                             Granularity::kCta, Granularity::kGrid}) {
+      const std::vector<graph::vertex_t>& sub = classified.of(gran);
+      if (trace != nullptr) count_queue(gran, sub.size());
+      if (sub.empty()) continue;
+      sim::KernelRecord rec;
+      rec.name = std::string(names.prefix) + to_string(gran);
+      run(sub, gran, rec);
+      recs.push_back(std::move(rec));
+      items.push_back(sub.size());
+    }
+    total.ms = trace != nullptr
+                   ? launch_group(dev, std::move(recs), items, *trace,
+                                  options_.sink, names.phase)
+                   : dev.run_concurrent(std::move(recs));
+    return total;
+  }
+
   // Reports a failed check of a driver's own audit.
   [[noreturn]] void audit_failed(const std::string& component,
                                  std::string detail) const;
@@ -112,14 +195,14 @@ class LevelLoop {
   // look queued, so concurrent blocks would race on it.
   bool flips_armed() const { return flips_armed_; }
 
-  // The level bodies' counters: enterprise.queue.<granularity> and
-  // enterprise.hub_cache.{probes,hits}. Each is looked up by name once per
-  // run, at its first use, so a run that never gets there adds no entry.
-  // No-ops without a registry.
-  void count_queue(Granularity gran, std::uint64_t frontiers);
+  // The level bodies' counters: enterprise.hub_cache.{probes,hits}, and
+  // dispatch's enterprise.queue.<granularity>. Each is looked up by name
+  // once per run, at its first use, so a run that never gets there adds no
+  // entry. No-ops without a registry.
   void count_hub_cache(std::uint64_t probes, std::uint64_t hits);
 
  private:
+  void count_queue(Granularity gran, std::uint64_t frontiers);
   bool open_level(std::int32_t level, std::uint64_t frontier, double now_ms,
                   std::span<const Shard> shards);
   // Sets where checks report, scrubs when due, and counts the audit when

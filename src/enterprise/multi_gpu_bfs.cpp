@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <utility>
 
 #include "bfs/checkpoint.hpp"
@@ -273,56 +274,22 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     // Expand one frontier shard on one device: the same computation the
     // paper's per-GPU pass does, parameterized so the speculation rung can
     // replay the straggler's shard on a healthy device against copies of
-    // the straggler's private state.
-    struct ShardOutcome {
-      double ms = 0.0;
-      vertex_t newly_visited = 0;
-      edge_t edges_inspected = 0;
-    };
-    const auto expand_shard = [&](const std::vector<vertex_t>& frontier,
+    // the straggler's private state. Devices record no per-level kernels or
+    // spans (DESIGN.md §5), so the step gets no trace.
+    const auto expand_shard = [&](std::span<const vertex_t> frontier,
                                   sim::Device& dev, StatusArray& status,
                                   std::vector<vertex_t>& par,
-                                  HubCache* probe) -> ShardOutcome {
-      ShardOutcome out;
-      if (eopt.workload_balancing) {
-        sim::KernelRecord crec;
-        crec.name = "classify";
-        const ClassifiedQueues classified =
-            classify_frontiers(g, frontier, dev.memory(), crec);
-        std::vector<sim::KernelRecord> recs;
-        recs.push_back(std::move(crec));
-        for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
-                                 Granularity::kCta, Granularity::kGrid}) {
-          const auto& sub = classified.of(gran);
-          if (sub.empty()) continue;
-          sim::KernelRecord rec;
-          rec.name = to_string(gran);
-          const ExpandOutput o =
-              bottom_up ? expand_bottom_up(g, status, par, sub, gran,
-                                           next_level, probe, dev.memory(),
-                                           rec)
-                        : expand_top_down(g, status, par, sub, gran,
-                                          next_level, dev.memory(), rec);
-          out.newly_visited += o.newly_visited;
-          out.edges_inspected += o.edges_inspected;
-          recs.push_back(std::move(rec));
-        }
-        out.ms = dev.run_concurrent(std::move(recs));
-      } else {
-        sim::KernelRecord rec;
-        rec.name = "Expand(CTA)";
-        const ExpandOutput o =
-            bottom_up ? expand_bottom_up(g, status, par, frontier,
-                                         Granularity::kCta, next_level, probe,
-                                         dev.memory(), rec)
-                      : expand_top_down(g, status, par, frontier,
-                                        Granularity::kCta, next_level,
-                                        dev.memory(), rec);
-        out.newly_visited += o.newly_visited;
-        out.edges_inspected += o.edges_inspected;
-        out.ms = dev.run_kernel(rec);
-      }
-      return out;
+                                  HubCache* probe) {
+      return loop.dispatch(
+          dev, g, frontier, {}, nullptr,
+          [&](std::span<const vertex_t> sub, Granularity gran,
+              sim::KernelRecord& rec) {
+            return bottom_up ? expand_bottom_up(g, status, par, sub, gran,
+                                                next_level, probe,
+                                                dev.memory(), rec)
+                             : expand_top_down(g, status, par, sub, gran,
+                                               next_level, dev.memory(), rec);
+          });
     };
 
     // Speculation rung: the detector flagged spec_p last level, so snapshot
@@ -347,8 +314,8 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     for (unsigned p = 0; p < P; ++p) {
       if (queues[p].empty()) continue;
       HubCache* probe = (bottom_up && eopt.hub_cache) ? &caches[p] : nullptr;
-      const ShardOutcome out = expand_shard(queues[p], system_.device(p),
-                                            statuses[p], parents, probe);
+      const DispatchOutput out = expand_shard(queues[p], system_.device(p),
+                                              statuses[p], parents, probe);
       newly_visited += out.newly_visited;
       trace.edges_inspected += out.edges_inspected;
       expand_ms[p] = out.ms;
@@ -369,7 +336,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
       if (helper < P) {
         HubCache* probe =
             (bottom_up && eopt.hub_cache) ? &*spec_cache : nullptr;
-        const ShardOutcome shadow =
+        const DispatchOutput shadow =
             expand_shard(queues[sp], system_.device(helper), *spec_status,
                          spec_parents, probe);
         ENT_ASSERT_MSG(
@@ -422,11 +389,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     // is applied back to every private status array.
     BitArray merged(n);
     for (unsigned p = 0; p < P; ++p) {
-      BitArray just_visited(n);
       for (vertex_t v = 0; v < n; ++v) {
-        if (statuses[p].level(v) == next_level) just_visited.set(v);
+        if (statuses[p].level(v) == next_level) merged.set(v);
       }
-      merged.merge_or(just_visited);
     }
     for (unsigned p = 0; p < P; ++p) {
       const auto words = merged.words();

@@ -164,7 +164,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   std::int32_t superstep = 0;
   const auto relax_queue = [&](std::span<const vertex_t> sub, Granularity gran,
                                HubCache& cache, const sim::MemoryModel& mm,
-                               sim::KernelRecord& rec) -> edge_t {
+                               sim::KernelRecord& rec) -> ExpandOutput {
     std::uint64_t adj_long = 0, adj_short = 0;
     std::uint64_t state_loads = 0, state_stores = 0;
     std::uint64_t flag_loads = 0, flag_stores = 0, cache_probes = 0;
@@ -246,7 +246,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     mm.record_load(rec.mem, AccessPattern::kRandom, flag_loads, 1);
     mm.record_store(rec.mem, AccessPattern::kRandom, flag_stores, 1);
     mm.record_shared(rec.mem, cache_probes);
-    return inspected_total;
+    return {0, inspected_total};
   };
 
   edge_t total_inspected = 0;
@@ -298,39 +298,14 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     for (unsigned p = 0; p < P; ++p) {
       if (queues[p].empty()) continue;
       sim::Device& dev = system_.device(p);
-      double device_ms = 0.0;
-      if (options_.workload_balancing) {
-        sim::KernelRecord crec;
-        crec.name = "classify";
-        const ClassifiedQueues classified =
-            classify_frontiers(g, queues[p], dev.memory(), crec);
-        std::vector<sim::KernelRecord> recs;
-        recs.push_back(std::move(crec));
-        std::vector<std::uint64_t> rec_items{queues[p].size()};
-        for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
-                                 Granularity::kCta, Granularity::kGrid}) {
-          const auto& sub = classified.of(gran);
-          loop.count_queue(gran, sub.size());
-          if (sub.empty()) continue;
-          sim::KernelRecord rec;
-          rec.name = to_string(gran);
-          trace.edges_inspected +=
-              relax_queue(sub, gran, caches[p], dev.memory(), rec);
-          recs.push_back(std::move(rec));
-          rec_items.push_back(sub.size());
-        }
-        device_ms += launch_group(dev, std::move(recs), rec_items, trace,
-                                  sink, "relax");
-      } else {
-        const Granularity gran = options_.fixed_granularity;
-        sim::KernelRecord rec;
-        rec.name = std::string("Relax(") + to_string(gran) + ")";
-        trace.edges_inspected +=
-            relax_queue(queues[p], gran, caches[p], dev.memory(), rec);
-        device_ms += launch(dev, std::move(rec), trace, sink, "relax",
-                            queues[p].size());
-      }
-      max_expand = std::max(max_expand, device_ms);
+      const DispatchOutput relaxed = loop.dispatch(
+          dev, g, queues[p], {.stem = "Relax", .phase = "relax"}, &trace,
+          [&](std::span<const vertex_t> sub, Granularity gran,
+              sim::KernelRecord& rec) {
+            return relax_queue(sub, gran, caches[p], dev.memory(), rec);
+          });
+      trace.edges_inspected += relaxed.edges_inspected;
+      max_expand = std::max(max_expand, relaxed.ms);
     }
     trace.expand_ms = max_expand;
     total_inspected += trace.edges_inspected;

@@ -5,6 +5,7 @@
 
 #include "baselines/cpu_bfs.hpp"
 #include "bfs/validate.hpp"
+#include "graph/digest.hpp"
 #include "graph/errors.hpp"
 #include "graph/validate.hpp"
 #include "util/random.hpp"
@@ -55,8 +56,6 @@ SnapshotStore::SnapshotStore(const graph::Csr& base, StoreOptions options)
   // copying; every later generation owns its Csr outright.
   snap->graph = std::shared_ptr<const graph::Csr>(&base,
                                                   [](const graph::Csr*) {});
-  snap->digests =
-      graph::SegmentDigests::compute(base, options_.digest_block_bytes);
   if (options_.canary_count > 0 && base.num_vertices() > 0) {
     // Canary sources are drawn ONCE and reused by every generation, so the
     // serving snapshot always carries the cross-check answers the next
@@ -148,8 +147,8 @@ std::shared_ptr<const Snapshot> SnapshotStore::ingest(
   } catch (const graph::GraphError& e) {
     reject(RejectStage::kValidate, candidate_gen, e.what());
   }
-  graph::SegmentDigests digests =
-      graph::SegmentDigests::compute(candidate, options_.digest_block_bytes);
+  const graph::SegmentDigests digests =
+      graph::SegmentDigests::compute(candidate);
   if (injector != nullptr && injector->plan().has_flip_rules()) {
     // Flip seam: silent-corruption rules may strike the candidate AFTER its
     // digests were taken — exactly the window the digest verify must cover.
@@ -196,7 +195,6 @@ std::shared_ptr<const Snapshot> SnapshotStore::ingest(
   auto snap = std::make_shared<Snapshot>();
   snap->generation = candidate_gen;
   snap->graph = std::make_shared<const graph::Csr>(std::move(candidate));
-  snap->digests = std::move(digests);
   snap->canaries = std::move(canaries);
   snap->edges_added = applied.edges_added;
   snap->edges_removed = applied.edges_removed;

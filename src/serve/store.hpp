@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/digest.hpp"
 #include "graph/snapshot.hpp"
 #include "gpusim/fault.hpp"
 #include "util/timer.hpp"
@@ -53,16 +52,16 @@
 namespace ent::serve {
 
 // One immutable serving generation. Everything derived from the graph that
-// the serving layer needs (canary truths, integrity digests) lives HERE,
-// not on the service — so a snapshot swap can never pair a new graph with
-// stale derived state. The in-edge view that workers' engines and digraph
-// tree validation read lives on the graph itself (Csr::in_edges()): its
-// first consumer builds it, and every worker rebound to this generation
-// shares it.
+// the serving layer needs (the canary truths) lives HERE, not on the
+// service — so a snapshot swap can never pair a new graph with stale
+// derived state. A candidate's segment digests only guard its own
+// verification (compute, then verify), so no snapshot keeps them. The
+// in-edge view that workers' engines and digraph tree validation read lives
+// on the graph itself (Csr::in_edges()): its first consumer builds it, and
+// every worker rebound to this generation shares it.
 struct Snapshot {
   std::uint64_t generation = 0;
   std::shared_ptr<const graph::Csr> graph;
-  graph::SegmentDigests digests;
   // Precomputed canary answers on THIS generation's graph:
   // (source, host-reference levels).
   std::vector<std::pair<graph::vertex_t, std::vector<std::int32_t>>> canaries;
@@ -137,8 +136,6 @@ struct StoreStats {
 };
 
 struct StoreOptions {
-  // Digest block size for per-generation SegmentDigests.
-  std::size_t digest_block_bytes = graph::SegmentDigests::kDefaultBlockBytes;
   // Canary sources drawn once (seeded) and kept stable across generations so
   // the old snapshot already holds the cross-check answer. 0 disables
   // canary verification AND serve-time canary truths.

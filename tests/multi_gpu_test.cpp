@@ -2,12 +2,16 @@
 // accounting, and the scaling behaviours of Fig. 15.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "baselines/cpu_bfs.hpp"
 #include "bfs/validate.hpp"
 #include "enterprise/enterprise_bfs.hpp"
 #include "bfs/runner.hpp"
 #include "enterprise/multi_gpu_bfs.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace ent {
 namespace {
@@ -96,6 +100,31 @@ TEST(MultiGpu, StrongScalingSpeedsUpButSubLinearly) {
   EXPECT_LT(t8, t1);                 // always beats one GPU
   EXPECT_LT(t8, t2 * 1.25);          // saturates near the 2-GPU point
   EXPECT_GT(t8, t1 / 8.0);           // far from ideal (comm-bound)
+}
+
+// With WB off every device expands its shard as one kernel at the
+// configured granularity, the same knob the single-GPU driver honours.
+TEST(MultiGpu, FixedGranularityIsHonoured) {
+  struct KernelLog final : obs::TraceSink {
+    std::set<std::string> seen;
+    void kernel(const obs::KernelEvent& e) override { seen.insert(e.name); }
+  };
+  const Csr g = scaling_kron(10, 8, 5);
+  KernelLog names;
+  enterprise::MultiGpuOptions opt;
+  opt.num_gpus = 2;
+  opt.per_device.workload_balancing = false;
+  opt.per_device.fixed_granularity = enterprise::Granularity::kThread;
+  opt.per_device.sink = &names;
+  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  vertex_t source = 0;
+  while (g.out_degree(source) == 0) ++source;
+  const auto got = sys.run(source);
+  const auto rep =
+      bfs::validate_levels(got.levels, baselines::cpu_bfs(g, source).levels);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_TRUE(names.seen.contains("Expand(Thread)"));
+  EXPECT_FALSE(names.seen.contains("Expand(CTA)"));
 }
 
 TEST(MultiGpu, RejectsDirectedGraphs) {
