@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bfs/engine.hpp"
+#include "enterprise/streamed_bfs.hpp"
 #include "gpusim/device.hpp"
 #include "graph/digest.hpp"
 #include "graph/generators.hpp"
@@ -57,9 +58,9 @@ std::vector<vertex_t> quarter_sources(const Csr& g) {
   return sources;
 }
 
-void expect_fingerprint(bfs::Engine& engine, vertex_t source,
-                        const Fingerprint& want, bool with_comm) {
-  const bfs::BfsResult r = engine.run(source);
+// Checks one run's result, and the device it ran on when there is one.
+void expect_result(const bfs::BfsResult& r, const sim::Device* device,
+                   const Fingerprint& want, bool with_comm) {
   std::vector<double> level_ms;
   for (const bfs::LevelTrace& t : r.level_trace) {
     level_ms.push_back(t.queue_gen_ms);
@@ -78,14 +79,18 @@ void expect_fingerprint(bfs::Engine& engine, vertex_t source,
                                  std::span(r.levels)))),
               want.tree_digest);
   }
-  const sim::Device* device = engine.device();
   if (device == nullptr) return;
-  EXPECT_EQ(engine.counters()->gld_transactions, want.gld_transactions);
+  EXPECT_EQ(device->counters().gld_transactions, want.gld_transactions);
   std::uint64_t warp_cycles = 0;
   for (const sim::KernelRecord& k : device->timeline()) {
     warp_cycles += k.warp_cycles;
   }
   EXPECT_EQ(warp_cycles, want.warp_cycles);
+}
+
+void expect_fingerprint(bfs::Engine& engine, vertex_t source,
+                        const Fingerprint& want, bool with_comm) {
+  expect_result(engine.run(source), engine.device(), want, with_comm);
 }
 
 // Every case runs at several host pool sizes: the pooled host loops must not
@@ -232,6 +237,66 @@ TEST(ModelFingerprint, ConnectedComponentsOnTwitterSixtyFourth) {
        38121, 0},
   };
   expect_fingerprints("enterprise/cc", g, pinned, {}, /*with_comm=*/true);
+}
+
+// The §7 streamed run: 8 equal-edge partitions, 2 of them resident, on the
+// default K40. Besides the usual columns (the level digest without comm_ms)
+// it pins every level's comm_ms, which is the partition transfers, and the
+// run's paging traffic.
+struct StreamedFingerprint {
+  Fingerprint run;
+  std::uint64_t comm_digest;  // FNV-1a over the bit patterns of comm_ms
+  std::uint64_t partition_faults;
+  std::uint64_t partition_hits;
+  std::uint64_t bytes_transferred;
+  std::uint64_t transfer_ms_bits;
+};
+
+TEST(ModelFingerprint, StreamedOnKroneckerScale12) {
+  const Csr g = kronecker12();
+  enterprise::StreamedOptions options;
+  options.num_partitions = 8;
+  options.resident_partitions = 2;
+  enterprise::StreamedBfs sys(g, options);
+  const StreamedFingerprint pinned[] = {
+      {{0, 0x3fe0e166cc2ada0aull, 130877, 5, 0xc318590cf8b4bbd2ull, 10219,
+        9414, 0xddf03830ad4e6c71ull},
+       0x9d0ef58bbbf602f6ull, 25, 1, 1738476, 0x3fd945996744b2b8ull},
+      {{1026, 0x3fe5393297ca8f95ull, 130877, 5, 0xb992086e2d70c8f9ull, 17161,
+        9679, 0x1979787b071efffeull},
+       0x5254622ff27ac31cull, 32, 0, 2225232, 0x3fe02c881e4712e4ull},
+      {{2048, 0x3fe93a818572a39aull, 130877, 5, 0x0e2e055520b2e770ull, 16138,
+        28766, 0xc93988843890d046ull},
+       0x56bd2171f1efc520ull, 33, 0, 2296776, 0x3fe0af4adbc664d4ull},
+      {{3072, 0x3fe5965b877d35c8ull, 130877, 5, 0x5261f3e6e5038f7cull, 17329,
+        10757, 0x225a55c51d71fb4eull},
+       0x283f47a9344d6301ull, 33, 0, 2294764, 0x3fe0adeb3c6b31efull},
+  };
+  const std::vector<vertex_t> sources = quarter_sources(g);
+  ASSERT_EQ(sources.size(), std::size(pinned));
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    util::ScopedHostPool pool(threads);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "streamed source " << sources[i]
+                                        << ", " << threads << " threads");
+      const StreamedFingerprint& want = pinned[i];
+      ASSERT_EQ(sources[i], want.run.source);
+      const bfs::BfsResult r = sys.run(sources[i]);
+      expect_result(r, &sys.device(), want.run, /*with_comm=*/false);
+      std::vector<double> comm_ms;
+      for (const bfs::LevelTrace& t : r.level_trace) {
+        comm_ms.push_back(t.comm_ms);
+      }
+      EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(comm_ms))),
+                want.comm_digest);
+      const enterprise::StreamedRunStats& stats = sys.last_run_stats();
+      EXPECT_EQ(stats.partition_faults, want.partition_faults);
+      EXPECT_EQ(stats.partition_hits, want.partition_hits);
+      EXPECT_EQ(stats.bytes_transferred, want.bytes_transferred);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.transfer_ms),
+                want.transfer_ms_bits);
+    }
+  }
 }
 
 }  // namespace
