@@ -1,13 +1,13 @@
-// §7 future-work extension bench: streamed (out-of-core) Enterprise BFS.
-// Sweeps the device-resident partition budget to show the cost of paging
-// the graph over the host link, and the locality benefit the hybrid
-// traversal retains (top-down levels touch few partitions; the bottom-up
-// phase sweeps them once in order).
+// §7 future-work extension bench: streamed (out-of-core) Enterprise BFS,
+// EnterpriseBfs with partition residency on. Sweeps the device-resident
+// partition budget to show the cost of paging the graph over the host link,
+// and the locality benefit the hybrid traversal retains (top-down levels
+// touch few partitions; the bottom-up phase sweeps them once in order).
 #include <cmath>
 #include <iostream>
 
 #include "common.hpp"
-#include "enterprise/streamed_bfs.hpp"
+#include "enterprise/enterprise_bfs.hpp"
 #include "graph/generators.hpp"
 #include "util/stats.hpp"
 
@@ -33,11 +33,10 @@ int main(int argc, char** argv) {
                "hits", "MB moved", "transfer ms"});
   double in_memory_teps = 0.0;
   for (unsigned resident : {16u, 8u, 4u, 2u, 1u}) {
-    enterprise::StreamedOptions sopt;
-    sopt.core.device = opt.device();
-    sopt.num_partitions = 16;
-    sopt.resident_partitions = resident;
-    enterprise::StreamedBfs sys(g, sopt);
+    enterprise::EnterpriseOptions eopt;
+    eopt.device = opt.device();
+    eopt.residency = {.partitions = 16, .resident = resident};
+    enterprise::EnterpriseBfs sys(g, eopt);
 
     double teps_sum = 0.0;
     std::uint64_t faults = 0;
@@ -46,10 +45,11 @@ int main(int argc, char** argv) {
     double transfer = 0.0;
     for (graph::vertex_t s : sources) {
       teps_sum += sys.run(s).teps();
-      faults += sys.last_run_stats().partition_faults;
-      hits += sys.last_run_stats().partition_hits;
-      bytes += sys.last_run_stats().bytes_transferred;
-      transfer += sys.last_run_stats().transfer_ms;
+      const enterprise::ResidencyStats& stats = sys.residency_stats();
+      faults += stats.partition_faults;
+      hits += stats.partition_hits;
+      bytes += stats.bytes_transferred;
+      transfer += stats.transfer_ms;
     }
     const double teps = teps_sum / static_cast<double>(sources.size());
     if (resident == 16) in_memory_teps = teps;

@@ -24,7 +24,6 @@
 #include "bfs/validate.hpp"
 #include "enterprise/enterprise_bfs.hpp"
 #include "enterprise/multi_gpu_bfs.hpp"
-#include "enterprise/streamed_bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree.hpp"

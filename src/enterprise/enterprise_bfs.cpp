@@ -13,6 +13,8 @@
 #include "enterprise/kernels.hpp"
 #include "enterprise/level_loop.hpp"
 #include "enterprise/status_array.hpp"
+#include "gpusim/multi_gpu.hpp"
+#include "graph/partition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
@@ -34,6 +36,82 @@ const graph::HubView& select_hubs(const graph::Csr& g,
   return g.hubs(target);
 }
 
+// Partition residency (EnterpriseOptions::residency). A partition's bytes
+// are its CSR rows and column ids; a miss moves them over the host link.
+class EnterpriseBfs::Pager {
+ public:
+  Pager(const graph::Csr& g, const EnterpriseOptions& options)
+      : ranges_(graph::partition_equal_edges(g, options.residency.partitions)),
+        resident_(options.residency.resident),
+        link_(sim::InterconnectSpec{}),
+        touched_(ranges_.size()) {
+    ENT_ASSERT_MSG(!g.directed(),
+                   "partition residency requires an undirected graph");
+    ENT_ASSERT(resident_ >= 1);
+    if (options.fault_injector != nullptr) {
+      link_.set_fault_injector(options.fault_injector,
+                               {options.device_ordinal});
+    }
+    for (const graph::VertexRange& r : ranges_) {
+      const edge_t edges = g.row_offsets()[r.end] - g.row_offsets()[r.begin];
+      bytes_.push_back(edges * sizeof(vertex_t) +
+                       static_cast<std::uint64_t>(r.size()) * sizeof(edge_t));
+    }
+  }
+
+  // The device's share of the graph: `resident` of the largest partition.
+  std::uint64_t resident_bytes() const {
+    return *std::max_element(bytes_.begin(), bytes_.end()) * resident_;
+  }
+
+  void reset() { lru_.clear(); }
+
+  // Pages in every partition that holds a vertex of `queue`, lowest first,
+  // counting into `stats`; returns the transfer time. `device_ms` is the
+  // device clock, which the link's fault tap reads.
+  double page_in(std::span<const vertex_t> queue, double device_ms,
+                 ResidencyStats& stats) {
+    for (const vertex_t v : queue) {
+      const auto it = std::partition_point(
+          ranges_.begin(), ranges_.end(),
+          [v](const graph::VertexRange& r) { return r.end <= v; });
+      // An injected frontier flip can name no partition; the audit flags it.
+      if (it != ranges_.end()) {
+        touched_[static_cast<std::size_t>(it - ranges_.begin())] = true;
+      }
+    }
+    double ms = 0.0;
+    for (unsigned p = 0; p < ranges_.size(); ++p) {
+      if (!touched_[p]) continue;
+      touched_[p] = false;
+      const auto hit = std::find(lru_.begin(), lru_.end(), p);
+      if (hit != lru_.end()) {
+        lru_.erase(hit);
+        lru_.insert(lru_.begin(), p);
+        ++stats.partition_hits;
+        continue;
+      }
+      if (lru_.size() >= resident_) lru_.pop_back();
+      lru_.insert(lru_.begin(), p);
+      ++stats.partition_faults;
+      stats.bytes_transferred += bytes_[p];
+      const double t =
+          link_.transfer_ms(bytes_[p], device_ms + stats.transfer_ms);
+      stats.transfer_ms += t;
+      ms += t;
+    }
+    return ms;
+  }
+
+ private:
+  std::vector<graph::VertexRange> ranges_;
+  std::vector<std::uint64_t> bytes_;  // parallel to ranges_
+  std::uint64_t resident_;
+  sim::Interconnect link_;
+  std::vector<unsigned> lru_;  // resident partitions, most recent first
+  std::vector<bool> touched_;  // scratch for page_in
+};
+
 EnterpriseBfs::EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options)
     : graph_(&g),
       in_edges_(&g.in_edges()),
@@ -44,6 +122,9 @@ EnterpriseBfs::EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options)
   device_->set_trace_sink(options_.sink);
   device_->set_device_id(options_.device_ordinal);
   device_->set_fault_injector(options_.fault_injector);
+  if (options_.residency.partitions != 0) {
+    pager_ = std::make_unique<Pager>(g, options_);
+  }
 }
 
 EnterpriseBfs::~EnterpriseBfs() = default;
@@ -56,9 +137,19 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   ENT_ASSERT(source < n);
 
   device_->reset();
+  residency_stats_ = {};
+  if (pager_ != nullptr) pager_->reset();
+  // The device holds the graph, or with residency on only its resident
+  // partitions, plus the status and parent arrays.
   device_->memory().set_working_set(
-      g.footprint_bytes() + static_cast<std::uint64_t>(n) * kStatusBytes +
+      (pager_ != nullptr ? pager_->resident_bytes() : g.footprint_bytes()) +
+      static_cast<std::uint64_t>(n) * kStatusBytes +
       static_cast<std::uint64_t>(n) * sizeof(vertex_t));
+  // The run's clock: the device's, plus the partition transfers, which the
+  // host link prices off the device (0 with the whole graph resident).
+  const auto now_ms = [&] {
+    return device_->elapsed_ms() + residency_stats_.transfer_ms;
+  };
 
   StatusArray status(n);
   std::vector<vertex_t> parents(n, graph::kInvalidVertex);
@@ -88,8 +179,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   // Resume from a level snapshot when the resilience layer replays this
   // source (bfs/checkpoint.hpp). The snapshot replaces the fresh-start state
   // above; the device clock stays at zero — the caller accounts for the time
-  // already spent on the faulted attempt. The hub cache restarts cold, which
-  // only costs simulated time (probes fall through to the status array).
+  // already spent on the faulted attempt. The hub cache and the partition
+  // LRU restart cold, which only costs simulated time (probes fall through
+  // to the status array, touched partitions fault in again).
   LevelLoop loop(g, digests_, options_, source,
                  {.audit_salt = 0x9e3779b97f4a7c15ull});
   if (const bfs::LevelCheckpoint* cp = loop.resume()) {
@@ -133,11 +225,10 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   std::uint64_t hub_hits_seen = cache.hits();
 
   while (!queue.empty()) {
-    loop.level_top(level, queue.size(), device_->elapsed_ms(), {&shard, 1},
-                   bottom_up);
+    loop.level_top(level, queue.size(), now_ms(), {&shard, 1}, bottom_up);
     bfs::LevelTrace trace;
     trace.level = level;
-    const double level_start_ms = device_->elapsed_ms();
+    const double level_start_ms = now_ms();
 
     if (!bottom_up) {
       const edge_t m_f = sum_out_degrees(queue);
@@ -194,6 +285,10 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     HubCache* probe_cache =
         (bottom_up && options_.hub_cache) ? &cache : nullptr;
     const QueueOrder order = bottom_up ? bu_order : QueueOrder::kScattered;
+    if (pager_ != nullptr) {
+      trace.comm_ms += pager_->page_in(queue, device_->elapsed_ms(),
+                                       residency_stats_);
+    }
     const DispatchOutput expanded = loop.dispatch(
         *device_, expand_graph, queue, {.prefix = bottom_up ? "BU-" : ""},
         &trace,
@@ -239,7 +334,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     } else {
       if (newly_visited == 0) {
         // Remaining queued vertices are unreachable from the source.
-        trace.total_ms = device_->elapsed_ms() - level_start_ms;
+        trace.total_ms = now_ms() - level_start_ms;
         if (sink != nullptr) sink->level(bfs::to_level_event(trace));
         result.level_trace.push_back(std::move(trace));
         break;
@@ -263,7 +358,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
 
     last_newly_visited = newly_visited;
     prev_queue_size = trace.frontier_count;
-    trace.total_ms = device_->elapsed_ms() - level_start_ms;
+    trace.total_ms = now_ms() - level_start_ms;
     if (sink != nullptr) sink->level(bfs::to_level_event(trace));
     result.level_trace.push_back(std::move(trace));
     level = next_level;
@@ -277,9 +372,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
                     .visited_degree_sum = visited_degree_sum});
   }
 
-  loop.run_end(level, device_->elapsed_ms(), {&shard, 1}, bottom_up);
+  loop.run_end(level, now_ms(), {&shard, 1}, bottom_up);
   finalize(result, g, std::move(status), std::move(parents));
-  result.time_ms = device_->elapsed_ms();
+  result.time_ms = now_ms();
 
   if (metrics != nullptr) {
     metrics->counter("enterprise.levels").add(result.level_trace.size());

@@ -7,10 +7,15 @@
 //   TS+WB     four classified queues expanded concurrently (Hyper-Q)
 //   TS+WB+HC  full Enterprise
 //
+// With partition residency on (EnterpriseOptions::residency) the same loop
+// models the paper's §7 future work, a graph larger than device memory: the
+// adjacency is paged in over the host link before each level's expansion.
+//
 // The paper's baseline BL (status-array direction-optimizing BFS) lives in
 // baselines/status_array_bfs.hpp.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "bfs/integrity.hpp"
@@ -70,6 +75,19 @@ struct EnterpriseOptions {
   // necessary nor beneficial" on GPUs). 0 = stay bottom-up.
   double switch_back_beta = 0.0;
 
+  // --- partition residency (§7 future work) -------------------------------
+  // The adjacency lives in host memory as `partitions` equal-edge vertex
+  // ranges, of which `resident` fit on the device, kept LRU. Before each
+  // level's expansion the run pages in every partition its queue touches
+  // over a PCIe link that the fault injector sees as this device. 0
+  // partitions = the whole graph is resident. Requires an undirected graph
+  // (a vertex range of out-edges holds its in-edges only when symmetric).
+  // Like chunked_switch_scan, only EnterpriseBfs reads it.
+  struct Residency {
+    unsigned partitions = 0;
+    unsigned resident = 2;
+  } residency;
+
   // --- observability (obs/) ---------------------------------------------
   // When set, every run streams span/kernel/level events into `sink` and
   // publishes gamma-at-switch, per-class queue occupancies, and hub-cache
@@ -115,6 +133,14 @@ inline unsigned scan_launch_width(unsigned scan_threads,
 const graph::HubView& select_hubs(const graph::Csr& g,
                                   const EnterpriseOptions& options);
 
+// Paging traffic of one run with partition residency on; all zero when off.
+struct ResidencyStats {
+  std::uint64_t partition_faults = 0;  // partitions transferred
+  std::uint64_t partition_hits = 0;    // touched partitions already resident
+  std::uint64_t bytes_transferred = 0;
+  double transfer_ms = 0.0;
+};
+
 class EnterpriseBfs {
  public:
   // Keeps a reference to `g` and borrows its in-edge and hub views.
@@ -136,7 +162,12 @@ class EnterpriseBfs {
 
   const EnterpriseOptions& options() const { return options_; }
 
+  // Paging traffic of the most recent run (EnterpriseOptions::residency).
+  const ResidencyStats& residency_stats() const { return residency_stats_; }
+
  private:
+  class Pager;  // the partition LRU; null when the whole graph is resident
+
   const graph::Csr* graph_;
   const graph::Csr* in_edges_;  // g.in_edges(): == graph_ when undirected
   EnterpriseOptions options_;
@@ -144,6 +175,8 @@ class EnterpriseBfs {
   const graph::HubView* hubs_;  // g.hubs(): shared by every engine on g
   // Load-time segment digests, computed only when a scrub interval is set.
   graph::SegmentDigests digests_;
+  std::unique_ptr<Pager> pager_;
+  ResidencyStats residency_stats_;
 };
 
 }  // namespace ent::enterprise

@@ -113,11 +113,11 @@ class Interconnect {
   // Point-to-point transfer (pure cost, no fault consultation).
   double transfer_ms(std::uint64_t bytes) const;
 
-  // Injector-tapped point-to-point transfer for the streamed host<->device
-  // link: offers the transfer to the fault injector as a single-party
-  // gather (comm-timeout / device-pinned comm-drop rules reach it) before
-  // pricing it. Drivers that model a host link use this overload so
-  // transfer faults can actually hit them.
+  // Injector-tapped point-to-point transfer over a host<->device link:
+  // offers the transfer to the fault injector as a gather by party 0's
+  // device (comm-timeout / device-pinned comm-drop rules reach it) before
+  // pricing it. EnterpriseBfs's partition residency pages through it, with
+  // the run's device_ordinal as party 0.
   double transfer_ms(std::uint64_t bytes, double now_ms) const;
 
   const InterconnectSpec& spec() const { return spec_; }

@@ -44,27 +44,6 @@ std::vector<VertexRange> partition_equal_edges(const Csr& g, unsigned parts) {
   return ranges;
 }
 
-Csr extract_partition(const Csr& g, const VertexRange& range) {
-  ENT_ASSERT(range.end <= g.num_vertices());
-  // Global ids are preserved: vertices outside the range get empty rows so
-  // every partition indexes the same vertex space (what a private status
-  // array over the full graph requires).
-  std::vector<edge_t> offsets(static_cast<std::size_t>(g.num_vertices()) + 1, 0);
-  std::vector<vertex_t> cols;
-  const auto first = g.row_offsets()[range.begin];
-  const auto last = g.row_offsets()[range.end];
-  cols.reserve(last - first);
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-    offsets[v + 1] = offsets[v];
-    if (range.contains(v)) {
-      for (vertex_t w : g.neighbors(v)) cols.push_back(w);
-      offsets[v + 1] += g.out_degree(v);
-    }
-  }
-  return Csr(g.num_vertices(), std::move(offsets), std::move(cols),
-             g.directed());
-}
-
 bool covers_all(const std::vector<VertexRange>& ranges,
                 vertex_t num_vertices) {
   vertex_t cursor = 0;

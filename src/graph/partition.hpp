@@ -27,10 +27,6 @@ std::vector<VertexRange> partition_equal_vertices(vertex_t num_vertices,
 // out-edges (split points found on the CSR row-offset prefix).
 std::vector<VertexRange> partition_equal_edges(const Csr& g, unsigned parts);
 
-// The sub-CSR owned by one partition: all out-edges of vertices in `range`,
-// with global vertex ids preserved (columns may reference remote vertices).
-Csr extract_partition(const Csr& g, const VertexRange& range);
-
 // Sanity check: ranges are contiguous, disjoint, and cover [0, n).
 bool covers_all(const std::vector<VertexRange>& ranges, vertex_t num_vertices);
 

@@ -2,28 +2,12 @@
 
 #include <bit>
 
-#include "util/assert.hpp"
-
 namespace ent {
-
-void BitArray::merge_or(const BitArray& other) {
-  ENT_ASSERT(num_bits_ == other.num_bits_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-}
 
 std::size_t BitArray::popcount() const {
   std::size_t total = 0;
   for (std::uint64_t w : words_) total += static_cast<std::size_t>(std::popcount(w));
   return total;
-}
-
-BitArray ballot_compress(std::span<const std::uint8_t> flags) {
-  BitArray out(flags.size());
-  auto words = out.words();
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    if (flags[i] != 0) words[i >> 6] |= 1ull << (i & 63);
-  }
-  return out;
 }
 
 }  // namespace ent

@@ -1,6 +1,6 @@
-// Fixed-size bit array with word-level ("__ballot()"-style) compression
-// helpers. Multi-GPU Enterprise (§4.4) compresses each private status array
-// into one bit per vertex before the all-gather, cutting communication ~90%.
+// Fixed-size bit array with word-level access. Multi-GPU Enterprise (§4.4)
+// gathers the merged visited set as one bit per vertex; the single-device
+// driver harvests its top-down queue from a discovery bitmap.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,6 @@ class BitArray {
   void clear(std::size_t i) { words_[i >> 6] &= ~(1ull << (i & 63)); }
   void reset() { std::fill(words_.begin(), words_.end(), 0); }
 
-  // Bitwise OR of another array of the same size into this one (the
-  // all-gather merge step).
-  void merge_or(const BitArray& other);
-
   // Number of set bits.
   std::size_t popcount() const;
 
@@ -41,10 +37,5 @@ class BitArray {
   std::size_t num_bits_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-// Compress `flags` (one byte per element, nonzero = set) into a BitArray,
-// exactly like a warp issuing __ballot() over a byte-status array. This is
-// the host-side model of the multi-GPU compression kernel.
-BitArray ballot_compress(std::span<const std::uint8_t> flags);
 
 }  // namespace ent

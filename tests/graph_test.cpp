@@ -504,17 +504,5 @@ TEST_P(PartitionTest, EqualEdgesCoversAll) {
 
 INSTANTIATE_TEST_SUITE_P(Parts, PartitionTest, ::testing::Values(1, 2, 3, 8));
 
-TEST(Partition, ExtractPreservesOwnedEdges) {
-  const Csr g = diamond();
-  const auto ranges = partition_equal_vertices(4, 2);
-  const Csr p0 = extract_partition(g, ranges[0]);
-  const Csr p1 = extract_partition(g, ranges[1]);
-  EXPECT_EQ(p0.num_edges() + p1.num_edges(), g.num_edges());
-  EXPECT_EQ(p0.num_vertices(), g.num_vertices());  // global id space kept
-  EXPECT_EQ(p0.out_degree(0), 2u);
-  EXPECT_EQ(p0.out_degree(2), 0u);  // owned by partition 1
-  EXPECT_EQ(p1.out_degree(2), 1u);
-}
-
 }  // namespace
 }  // namespace ent::graph

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "bfs/engine.hpp"
-#include "enterprise/streamed_bfs.hpp"
+#include "enterprise/enterprise_bfs.hpp"
 #include "gpusim/device.hpp"
 #include "graph/digest.hpp"
 #include "graph/generators.hpp"
@@ -239,10 +239,10 @@ TEST(ModelFingerprint, ConnectedComponentsOnTwitterSixtyFourth) {
   expect_fingerprints("enterprise/cc", g, pinned, {}, /*with_comm=*/true);
 }
 
-// The §7 streamed run: 8 equal-edge partitions, 2 of them resident, on the
-// default K40. Besides the usual columns (the level digest without comm_ms)
-// it pins every level's comm_ms, which is the partition transfers, and the
-// run's paging traffic.
+// The §7 streamed run: EnterpriseBfs with 8 equal-edge partitions, 2 of
+// them resident, on the default K40. Besides the usual columns (the level
+// digest without comm_ms) it pins every level's comm_ms, which is the
+// partition transfers, and the run's paging traffic.
 struct StreamedFingerprint {
   Fingerprint run;
   std::uint64_t comm_digest;  // FNV-1a over the bit patterns of comm_ms
@@ -252,24 +252,30 @@ struct StreamedFingerprint {
   std::uint64_t transfer_ms_bits;
 };
 
+// Re-pinned once, when the separate streamed driver was folded into
+// EnterpriseBfs: streamed runs now run the WB pipeline (classified queues,
+// Hyper-Q groups) instead of fixed Thread and CTA kernels per partition. That
+// moved time_ms, the queue_gen/expand digest, gld_transactions, warp_cycles
+// and the parents in the tree digest. Levels, directions, the comm_ms digest
+// and the four traffic stats kept their pre-fold values. The kernel columns
+// now equal EnterpriseOnKroneckerScale12's: paging adds only transfer time.
 TEST(ModelFingerprint, StreamedOnKroneckerScale12) {
   const Csr g = kronecker12();
-  enterprise::StreamedOptions options;
-  options.num_partitions = 8;
-  options.resident_partitions = 2;
-  enterprise::StreamedBfs sys(g, options);
+  enterprise::EnterpriseOptions options;
+  options.residency = {.partitions = 8, .resident = 2};
+  enterprise::EnterpriseBfs sys(g, options);
   const StreamedFingerprint pinned[] = {
-      {{0, 0x3fe0e166cc2ada0aull, 130877, 5, 0xc318590cf8b4bbd2ull, 10219,
-        9414, 0xddf03830ad4e6c71ull},
+      {{0, 0x3fdc3498d4e7d526ull, 130877, 5, 0x11a6ed0faa98f230ull, 12515,
+        10101, 0xddf03830ad4e6c71ull},
        0x9d0ef58bbbf602f6ull, 25, 1, 1738476, 0x3fd945996744b2b8ull},
-      {{1026, 0x3fe5393297ca8f95ull, 130877, 5, 0xb992086e2d70c8f9ull, 17161,
-        9679, 0x1979787b071efffeull},
+      {{1026, 0x3fe2108bdf8eed82ull, 130877, 5, 0x8bc873e2e6d3fe2bull, 19139,
+        9724, 0xe23dac029b00c5b1ull},
        0x5254622ff27ac31cull, 32, 0, 2225232, 0x3fe02c881e4712e4ull},
-      {{2048, 0x3fe93a818572a39aull, 130877, 5, 0x0e2e055520b2e770ull, 16138,
-        28766, 0xc93988843890d046ull},
+      {{2048, 0x3fe22bdd6256edcaull, 130877, 5, 0x8476652b6bd465c7ull, 20016,
+        28349, 0xc93988843890d046ull},
        0x56bd2171f1efc520ull, 33, 0, 2296776, 0x3fe0af4adbc664d4ull},
-      {{3072, 0x3fe5965b877d35c8ull, 130877, 5, 0x5261f3e6e5038f7cull, 17329,
-        10757, 0x225a55c51d71fb4eull},
+      {{3072, 0x3fe21ed9cb6fca6eull, 130877, 5, 0x42818bbc8efea651ull, 19306,
+        9860, 0x7473cbf6c319d600ull},
        0x283f47a9344d6301ull, 33, 0, 2294764, 0x3fe0adeb3c6b31efull},
   };
   const std::vector<vertex_t> sources = quarter_sources(g);
@@ -289,7 +295,7 @@ TEST(ModelFingerprint, StreamedOnKroneckerScale12) {
       }
       EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(comm_ms))),
                 want.comm_digest);
-      const enterprise::StreamedRunStats& stats = sys.last_run_stats();
+      const enterprise::ResidencyStats& stats = sys.residency_stats();
       EXPECT_EQ(stats.partition_faults, want.partition_faults);
       EXPECT_EQ(stats.partition_hits, want.partition_hits);
       EXPECT_EQ(stats.bytes_transferred, want.bytes_transferred);

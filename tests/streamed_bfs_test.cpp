@@ -1,12 +1,15 @@
-// Tests for the streamed (out-of-core) BFS extension: exact results, LRU
-// behaviour, transfer accounting, and the expected cost ordering against
-// the fully-resident system.
+// Tests for the streamed (out-of-core) BFS extension, EnterpriseBfs with
+// partition residency on: exact results, LRU behaviour, transfer accounting,
+// the expected cost ordering against the fully-resident system, and the
+// transfers' place on the run's device and clock.
 #include <gtest/gtest.h>
 
 #include "baselines/cpu_bfs.hpp"
+#include "bfs/guard.hpp"
 #include "bfs/runner.hpp"
 #include "bfs/validate.hpp"
-#include "enterprise/streamed_bfs.hpp"
+#include "enterprise/enterprise_bfs.hpp"
+#include "gpusim/fault.hpp"
 #include "graph/generators.hpp"
 
 namespace ent::enterprise {
@@ -23,11 +26,10 @@ Csr test_graph(std::uint64_t seed) {
   return graph::generate_kronecker(p);
 }
 
-StreamedOptions options(unsigned partitions, unsigned resident) {
-  StreamedOptions opt;
-  opt.core.device = sim::k40_sim();
-  opt.num_partitions = partitions;
-  opt.resident_partitions = resident;
+EnterpriseOptions options(unsigned partitions, unsigned resident) {
+  EnterpriseOptions opt;
+  opt.device = sim::k40_sim();
+  opt.residency = {.partitions = partitions, .resident = resident};
   return opt;
 }
 
@@ -37,7 +39,7 @@ class StreamedCorrectness
 TEST_P(StreamedCorrectness, MatchesCpuReference) {
   const auto [partitions, resident] = GetParam();
   const Csr g = test_graph(1);
-  StreamedBfs sys(g, options(partitions, resident));
+  EnterpriseBfs sys(g, options(partitions, resident));
   for (vertex_t s : bfs::sample_sources(g, 2, 3)) {
     const auto got = sys.run(s);
     const auto ref = baselines::cpu_bfs(g, s);
@@ -53,17 +55,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(2u, 1u), std::make_tuple(8u, 2u),
                       std::make_tuple(8u, 8u), std::make_tuple(16u, 3u)));
 
-TEST(Streamed, PartitionsCoverVertexSpace) {
-  const Csr g = test_graph(2);
-  StreamedBfs sys(g, options(8, 2));
-  EXPECT_TRUE(graph::covers_all(sys.partitions(), g.num_vertices()));
-}
-
 TEST(Streamed, FullyResidentHasMinimalFaults) {
   const Csr g = test_graph(3);
-  StreamedBfs sys(g, options(8, 8));
+  EnterpriseBfs sys(g, options(8, 8));
   sys.run(bfs::sample_sources(g, 1, 5).at(0));
-  const auto& stats = sys.last_run_stats();
+  const auto& stats = sys.residency_stats();
   // Each partition faults at most once (cold) when everything fits.
   EXPECT_LE(stats.partition_faults, 8u);
   EXPECT_GT(stats.partition_hits, 0u);
@@ -72,34 +68,34 @@ TEST(Streamed, FullyResidentHasMinimalFaults) {
 TEST(Streamed, TightMemoryFaultsMore) {
   const Csr g = test_graph(4);
   const auto src = bfs::sample_sources(g, 1, 7).at(0);
-  StreamedBfs roomy(g, options(8, 8));
+  EnterpriseBfs roomy(g, options(8, 8));
   roomy.run(src);
-  StreamedBfs tight(g, options(8, 1));
+  EnterpriseBfs tight(g, options(8, 1));
   tight.run(src);
-  EXPECT_GT(tight.last_run_stats().partition_faults,
-            roomy.last_run_stats().partition_faults);
-  EXPECT_GT(tight.last_run_stats().bytes_transferred,
-            roomy.last_run_stats().bytes_transferred);
+  EXPECT_GT(tight.residency_stats().partition_faults,
+            roomy.residency_stats().partition_faults);
+  EXPECT_GT(tight.residency_stats().bytes_transferred,
+            roomy.residency_stats().bytes_transferred);
 }
 
 TEST(Streamed, TransfersCostTime) {
   const Csr g = test_graph(5);
   const auto src = bfs::sample_sources(g, 1, 9).at(0);
-  StreamedBfs roomy(g, options(8, 8));
+  EnterpriseBfs roomy(g, options(8, 8));
   const double t_roomy = roomy.run(src).time_ms;
-  StreamedBfs tight(g, options(8, 1));
+  EnterpriseBfs tight(g, options(8, 1));
   const double t_tight = tight.run(src).time_ms;
   EXPECT_GT(t_tight, t_roomy);
-  EXPECT_GT(tight.last_run_stats().transfer_ms, 0.0);
+  EXPECT_GT(tight.residency_stats().transfer_ms, 0.0);
 }
 
 TEST(Streamed, CommTimeAppearsInTrace) {
   const Csr g = test_graph(6);
-  StreamedBfs sys(g, options(8, 1));
+  EnterpriseBfs sys(g, options(8, 1));
   const auto r = sys.run(bfs::sample_sources(g, 1, 11).at(0));
   double comm = 0.0;
   for (const auto& t : r.level_trace) comm += t.comm_ms;
-  EXPECT_NEAR(comm, sys.last_run_stats().transfer_ms, 1e-9);
+  EXPECT_NEAR(comm, sys.residency_stats().transfer_ms, 1e-9);
 }
 
 TEST(Streamed, RejectsDirectedGraphs) {
@@ -107,7 +103,59 @@ TEST(Streamed, RejectsDirectedGraphs) {
   p.scale = 8;
   p.edge_factor = 4;
   const Csr g = graph::generate_rmat(p);
-  EXPECT_DEATH(StreamedBfs(g, options(4, 2)), "undirected");
+  EXPECT_DEATH(EnterpriseBfs(g, options(4, 2)), "undirected");
+}
+
+// The host link belongs to the run's device: a comm fault pinned to its
+// ordinal hits the partition transfers, one pinned to another device does
+// not.
+TEST(Streamed, LinkFaultNamesTheRunsDevice) {
+  const Csr g = test_graph(7);
+  const vertex_t src = bfs::sample_sources(g, 1, 13).at(0);
+  const auto run_under = [&](const char* plan) {
+    sim::FaultInjector injector(sim::FaultPlan::parse(plan).value());
+    EnterpriseOptions opt = options(8, 2);
+    opt.fault_injector = &injector;
+    opt.device_ordinal = 3;
+    EnterpriseBfs sys(g, opt);
+    return sys.run(src);
+  };
+  try {
+    run_under("comm-timeout@device=3");
+    ADD_FAILURE() << "a comm timeout on the run's device never fired";
+  } catch (const sim::SimFault& fault) {
+    EXPECT_EQ(fault.type(), sim::FaultType::kCommTimeout);
+    EXPECT_EQ(fault.device(), 3u);
+  }
+  const auto r = run_under("comm-timeout@device=0");
+  EXPECT_TRUE(
+      bfs::validate_levels(r.levels, baselines::cpu_bfs(g, src).levels).ok);
+}
+
+// The guard reads the run's clock, which counts the transfers. On the
+// device clock alone no level top reaches the run's device time, so a
+// deadline there trips only because the transfers count.
+TEST(Streamed, GuardDeadlineCountsTransfers) {
+  const Csr g = test_graph(8);
+  const vertex_t src = bfs::sample_sources(g, 1, 15).at(0);
+  EnterpriseBfs unguarded(g, options(8, 1));
+  const double time_ms = unguarded.run(src).time_ms;
+  const double transfer_ms = unguarded.residency_stats().transfer_ms;
+  ASSERT_GT(transfer_ms, 0.0);
+
+  bfs::GuardLimits limits;
+  limits.deadline_ms = time_ms - transfer_ms;
+  bfs::RunGuard guard(limits);
+  EnterpriseOptions opt = options(8, 1);
+  opt.guard = &guard;
+  EnterpriseBfs guarded(g, opt);
+  try {
+    guarded.run(src);
+    ADD_FAILURE() << "the deadline at the device time never tripped";
+  } catch (const bfs::GuardTripped& trip) {
+    EXPECT_EQ(trip.kind(), bfs::GuardKind::kDeadline);
+    EXPECT_GT(trip.level(), 0);
+  }
 }
 
 }  // namespace

@@ -113,41 +113,6 @@ TEST(BitArray, SetGetClear) {
   EXPECT_EQ(bits.popcount(), 2u);
 }
 
-TEST(BitArray, MergeOr) {
-  BitArray a(100);
-  BitArray b(100);
-  a.set(1);
-  b.set(2);
-  b.set(1);
-  a.merge_or(b);
-  EXPECT_TRUE(a.get(1));
-  EXPECT_TRUE(a.get(2));
-  EXPECT_EQ(a.popcount(), 2u);
-}
-
-TEST(BitArray, BallotCompressMatchesFlags) {
-  SplitMix64 rng(3);
-  std::vector<std::uint8_t> flags(517);
-  for (auto& f : flags) f = rng.next_below(3) == 0 ? 1 : 0;
-  const BitArray bits = ballot_compress(flags);
-  ASSERT_EQ(bits.size(), flags.size());
-  std::size_t expected_pop = 0;
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    EXPECT_EQ(bits.get(i), flags[i] != 0) << "bit " << i;
-    if (flags[i] != 0) ++expected_pop;
-  }
-  EXPECT_EQ(bits.popcount(), expected_pop);
-}
-
-TEST(BitArray, CompressionRatioIsAboutEightToOne) {
-  // The §4.4 claim: bit compression cuts byte-status communication ~90%.
-  std::vector<std::uint8_t> flags(1 << 16, 1);
-  const BitArray bits = ballot_compress(flags);
-  const double ratio = static_cast<double>(bits.size_bytes()) /
-                       static_cast<double>(flags.size());
-  EXPECT_NEAR(ratio, 0.125, 0.01);
-}
-
 // ---- stats ---------------------------------------------------------------------
 
 TEST(Stats, SummaryBasics) {
