@@ -166,7 +166,7 @@ class EnterpriseBfs {
   const ResidencyStats& residency_stats() const { return residency_stats_; }
 
  private:
-  class Pager;  // the partition LRU; null when the whole graph is resident
+  class Pager;  // partition residency's LRU, in enterprise_bfs.cpp
 
   const graph::Csr* graph_;
   const graph::Csr* in_edges_;  // g.in_edges(): == graph_ when undirected
@@ -175,7 +175,7 @@ class EnterpriseBfs {
   const graph::HubView* hubs_;  // g.hubs(): shared by every engine on g
   // Load-time segment digests, computed only when a scrub interval is set.
   graph::SegmentDigests digests_;
-  std::unique_ptr<Pager> pager_;
+  std::unique_ptr<Pager> pager_;  // null when the whole graph is resident
   ResidencyStats residency_stats_;
 };
 

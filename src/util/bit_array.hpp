@@ -17,7 +17,6 @@ class BitArray {
       : num_bits_(bits), words_((bits + 63) / 64, 0) {}
 
   std::size_t size() const { return num_bits_; }
-  std::size_t size_bytes() const { return words_.size() * sizeof(std::uint64_t); }
 
   bool get(std::size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1ull;
