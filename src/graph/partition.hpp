@@ -1,7 +1,8 @@
 // 1-D vertex partitioning for multi-GPU Enterprise (§4.4): "each GPU is
 // responsible for an equal number of vertices from the graph, and thus a
 // similar number of edges". We provide both the paper's equal-vertex split
-// and an equal-edge split for the partitioning ablation.
+// and an equal-edge split, used by the partitioning ablation and by
+// EnterpriseBfs's partition residency (§7).
 #pragma once
 
 #include <vector>
