@@ -2,14 +2,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <vector>
 
+#include "baselines/beamer_hybrid.hpp"
 #include "baselines/cpu_bfs.hpp"
 #include "baselines/cpu_parallel_bfs.hpp"
 #include "bfs/trace_io.hpp"
 #include "bfs/validate.hpp"
 #include "enterprise/enterprise_bfs.hpp"
+#include "graph/digest.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 
 namespace ent {
 namespace {
@@ -135,6 +142,112 @@ TEST(CpuParallel, RepeatedRunsAgreeOnLevels) {
   const auto b = baselines::cpu_parallel_bfs(g, src, opt);
   // Parents may differ run to run; levels never do.
   EXPECT_EQ(a.levels, b.levels);
+}
+
+// ---- host direction-optimizing BFS -----------------------------------------
+
+// One run's pinned tree and per-level trace.
+struct HostPin {
+  vertex_t source;
+  // FNV-1a over the levels, continued over the parents.
+  std::uint64_t tree_digest;
+  // FNV-1a over each level's direction, frontier count, edges inspected and
+  // the bits of alpha.
+  std::uint64_t trace_digest;
+};
+
+std::uint64_t tree_digest(const bfs::BfsResult& r) {
+  return graph::fnv1a64(std::as_bytes(std::span(r.parents)),
+                        graph::fnv1a64(std::as_bytes(std::span(r.levels))));
+}
+
+std::uint64_t trace_digest(const bfs::BfsResult& r) {
+  std::vector<std::uint64_t> words;
+  for (const bfs::LevelTrace& t : r.level_trace) {
+    words.push_back(static_cast<std::uint64_t>(t.direction));
+    words.push_back(t.frontier_count);
+    words.push_back(t.edges_inspected);
+    words.push_back(std::bit_cast<std::uint64_t>(t.alpha));
+  }
+  return graph::fnv1a64(std::as_bytes(std::span(words)));
+}
+
+// Four sources spread over the id space: the first vertex with an edge at or
+// after each quarter mark.
+std::vector<vertex_t> quarter_sources(const Csr& g) {
+  std::vector<vertex_t> sources;
+  for (vertex_t q = 0; q < 4; ++q) {
+    vertex_t v = g.num_vertices() / 4 * q;
+    while (g.out_degree(v) == 0) ++v;
+    sources.push_back(v);
+  }
+  return sources;
+}
+
+// The host hybrid's trees and traces on three graph families, pinned bit for
+// bit. The cases reach a top-down level of more than 1,024 entries (the TW
+// switch-back levels) and bottom-up sweeps of more than 16,384 vertices.
+TEST(HostHybrid, PinnedTreesAndTraces) {
+  graph::KroneckerParams kp;
+  kp.scale = 16;
+  kp.edge_factor = 16;
+  kp.seed = 42;
+  graph::SuiteOptions quarter;
+  quarter.scale = 0.25;
+  const Csr kron = graph::generate_kronecker(kp);
+  const Csr tw = graph::make_suite_graph("TW", quarter).graph;
+  const Csr road = graph::make_suite_graph("ROAD", quarter).graph;
+  ASSERT_TRUE(tw.directed());
+  ASSERT_EQ(tw.num_vertices(), 65536u);
+
+  struct Case {
+    const char* name;
+    const Csr* graph;
+    HostPin pins[4];
+  };
+  const Case cases[] = {
+      {"kron16",
+       &kron,
+       {{0, 0x110a2fbbbdcc8275ull, 0xca2389d2a4b3416eull},
+        {16386, 0x51d6fa3b10254eddull, 0x39709d662c1a1709ull},
+        {32769, 0x2cbbf944289374cbull, 0xd7fc434352d83fbfull},
+        {49153, 0x48a3d001f6ae4222ull, 0xeb23425786641bc7ull}}},
+      {"tw-quarter",
+       &tw,
+       {{0, 0x3412c71af2b12286ull, 0x13545c8354db7bb2ull},
+        {16384, 0xc46b71c4e7a2eb71ull, 0x20ae63f8118e6e2eull},
+        {32768, 0x03d30a48bb0226a0ull, 0x7da41fd30611fccfull},
+        {49152, 0xffc144f1ceacf8c1ull, 0x8ae1e76ed7d38287ull}}},
+      {"road-quarter",
+       &road,
+       {{0, 0x5fe682f3ea7a425full, 0x97a8cf953e298589ull},
+        {4096, 0xf92e1376334529ffull, 0xf0314da74522ced4ull},
+        {8192, 0x965cd80b88030eaaull, 0xa18ce581272d8988ull},
+        {12288, 0xd6be912f94428337ull, 0x4ea219c34c9cd65cull}}},
+  };
+
+  bool wide_top_down = false;
+  bool wide_bottom_up = false;
+  for (const Case& c : cases) {
+    const Csr& g = *c.graph;
+    const std::vector<vertex_t> sources = quarter_sources(g);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << c.name << " source " << sources[i]);
+      ASSERT_EQ(sources[i], c.pins[i].source);
+      const bfs::BfsResult r =
+          baselines::beamer_hybrid_bfs(g, g.in_edges(), sources[i]);
+      EXPECT_EQ(tree_digest(r), c.pins[i].tree_digest);
+      EXPECT_EQ(trace_digest(r), c.pins[i].trace_digest);
+      for (const bfs::LevelTrace& t : r.level_trace) {
+        wide_top_down |= t.direction == bfs::Direction::kTopDown &&
+                         t.frontier_count > 1024;
+        wide_bottom_up |= t.direction == bfs::Direction::kBottomUp &&
+                          g.num_vertices() > 16384;
+      }
+    }
+  }
+  EXPECT_TRUE(wide_top_down);
+  EXPECT_TRUE(wide_bottom_up);
 }
 
 }  // namespace
