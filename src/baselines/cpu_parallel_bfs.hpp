@@ -1,8 +1,10 @@
-// Multithreaded host BFS — the CPU comparison point of Table 2 (Xeon-class
-// machines with tens of threads and large caches). Level-synchronous
-// top-down with atomic compare-exchange vertex claiming: the CPU analogue
-// of the atomic frontier queue of §2.1, where the contention cost that is
-// ruinous on 100K GPU threads is acceptable across tens of CPU threads.
+// Direction-optimizing host BFS after Beamer, Asanović and Patterson [10] on
+// the shared host pool: the CPU comparison point of Table 2, a second
+// correctness reference, and the host floor of the resilient cascade and the
+// guarded ladder. Levels, parents and the trace do not depend on the pool
+// size: a top-down level gives each vertex its first discoverer in frontier
+// order, and a bottom-up vertex adopts its first in-neighbour on the
+// frontier, as a serial search does.
 #pragma once
 
 #include "bfs/result.hpp"
@@ -11,11 +13,13 @@
 namespace ent::baselines {
 
 struct CpuParallelOptions {
-  // 0 = std::thread::hardware_concurrency().
+  // 1 runs the whole search on the calling thread; any other value runs its
+  // wide levels on util::host_pool().
   unsigned num_threads = 0;
 };
 
-// time_ms is host wall time; levels/parents are exact BFS results.
+// time_ms is host wall time; level_trace carries each level's direction,
+// frontier count, edges inspected and alpha.
 bfs::BfsResult cpu_parallel_bfs(const graph::Csr& g, graph::vertex_t source,
                                 const CpuParallelOptions& options = {});
 

@@ -9,6 +9,7 @@
 
 #include "baselines/comparators.hpp"
 #include "baselines/cpu_bfs.hpp"
+#include "baselines/cpu_parallel_bfs.hpp"
 #include "bfs/guarded.hpp"
 #include "bfs/program.hpp"
 #include "bfs/resilient.hpp"
@@ -230,33 +231,6 @@ class AtomicQueueEngine final : public Engine {
   std::unique_ptr<baselines::AtomicQueueBfs> system_;
 };
 
-class BeamerEngine final : public Engine {
- public:
-  BeamerEngine(const graph::Csr& g, const EngineConfig& config)
-      : graph_(&g), in_edges_(&g.in_edges()), options_(config.beamer) {
-    sink_ = config.sink;
-    metrics_ = config.metrics;
-  }
-
-  std::string name() const override { return "beamer"; }
-
-  std::string options_summary() const override {
-    return "alpha=" + fmt1(options_.alpha) + " beta=" + fmt1(options_.beta) +
-           " host";
-  }
-
- protected:
-  BfsResult do_run(graph::vertex_t source) override {
-    return baselines::beamer_hybrid_bfs(*graph_, *in_edges_, source,
-                                        options_);
-  }
-
- private:
-  const graph::Csr* graph_;
-  const graph::Csr* in_edges_;
-  baselines::BeamerOptions options_;
-};
-
 class CpuEngine final : public Engine {
  public:
   CpuEngine(const graph::Csr& g, const EngineConfig& config) : graph_(&g) {
@@ -276,31 +250,32 @@ class CpuEngine final : public Engine {
   const graph::Csr* graph_;
 };
 
-class CpuParallelEngine final : public Engine {
+// `beamer` and `cpu-parallel`: the direction-optimizing host BFS on the
+// calling thread alone (NumThreads 1) or on the host pool (0).
+template <unsigned NumThreads>
+class HostHybridEngine final : public Engine {
  public:
-  CpuParallelEngine(const graph::Csr& g, const EngineConfig& config)
-      : graph_(&g), options_(config.cpu_parallel) {
+  HostHybridEngine(const graph::Csr& g, const EngineConfig& config)
+      : graph_(&g) {
     sink_ = config.sink;
     metrics_ = config.metrics;
   }
 
-  std::string name() const override { return "cpu-parallel"; }
+  std::string name() const override {
+    return NumThreads == 1 ? "beamer" : "cpu-parallel";
+  }
 
   std::string options_summary() const override {
-    return "threads=" +
-           (options_.num_threads == 0 ? std::string("auto")
-                                      : std::to_string(options_.num_threads)) +
-           " host";
+    return NumThreads == 1 ? "serial host" : "pooled host";
   }
 
  protected:
   BfsResult do_run(graph::vertex_t source) override {
-    return baselines::cpu_parallel_bfs(*graph_, source, options_);
+    return baselines::cpu_parallel_bfs(*graph_, source, {NumThreads});
   }
 
  private:
   const graph::Csr* graph_;
-  baselines::CpuParallelOptions options_;
 };
 
 // --- vertex-program adapters ------------------------------------------------
@@ -455,9 +430,9 @@ std::map<std::string, EngineFactory>& registry() {
       {"multi-gpu", &make_adapter<MultiGpuEngine>},
       {"bl", &make_adapter<StatusArrayEngine>},
       {"atomic", &make_adapter<AtomicQueueEngine>},
-      {"beamer", &make_adapter<BeamerEngine>},
+      {"beamer", &make_adapter<HostHybridEngine<1>>},
       {"cpu", &make_adapter<CpuEngine>},
-      {"cpu-parallel", &make_adapter<CpuParallelEngine>},
+      {"cpu-parallel", &make_adapter<HostHybridEngine<0>>},
       {"b40c", &make_comparator<&baselines::b40c_like>},
       {"gunrock", &make_comparator<&baselines::gunrock_like>},
       {"mapgraph", &make_comparator<&baselines::mapgraph_like>},

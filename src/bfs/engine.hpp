@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "baselines/atomic_queue_bfs.hpp"
-#include "baselines/beamer_hybrid.hpp"
-#include "baselines/cpu_parallel_bfs.hpp"
 #include "baselines/status_array_bfs.hpp"
 #include "bfs/guard.hpp"
 #include "bfs/integrity.hpp"
@@ -70,8 +68,6 @@ struct EngineConfig {
   enterprise::MultiGpuOptions multi_gpu;
   baselines::StatusArrayOptions status_array;
   baselines::AtomicQueueOptions atomic_queue;
-  baselines::BeamerOptions beamer;
-  baselines::CpuParallelOptions cpu_parallel;
 
   obs::TraceSink* sink = nullptr;
   obs::MetricsRegistry* metrics = nullptr;

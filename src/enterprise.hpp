@@ -11,7 +11,6 @@
 
 #include "algorithms/analytics.hpp"
 #include "baselines/atomic_queue_bfs.hpp"
-#include "baselines/beamer_hybrid.hpp"
 #include "baselines/comparators.hpp"
 #include "baselines/cpu_bfs.hpp"
 #include "baselines/cpu_parallel_bfs.hpp"

@@ -379,6 +379,11 @@ TEST(GuardedEngine, StarvationBudgetStillCompletesOnTheHost) {
   EXPECT_EQ(r.completed_by, "cpu-parallel");
   EXPECT_TRUE(bfs::validate_tree(g, g, r).ok);
   EXPECT_EQ(metrics.counter("guard.degraded_runs").value(), 1u);
+  // The host floor's tree does not depend on the pool: it is the serial
+  // preset's, vertex for vertex.
+  const auto serial = bfs::make_engine("beamer", g)->run(source);
+  EXPECT_EQ(r.levels, serial.levels);
+  EXPECT_EQ(r.parents, serial.parents);
 }
 
 // Degradation costs simulated performance, never correctness: the degraded

@@ -388,6 +388,11 @@ TEST(ResilientEngine, CascadesToHostWhenEveryDeviceIsLost) {
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.completed_by, "cpu-parallel");
   EXPECT_GE(r.faults_survived, 2);  // enterprise and bl both died
+  // The host floor's tree does not depend on the pool: it is the serial
+  // preset's, vertex for vertex.
+  const auto serial = bfs::make_engine("beamer", g)->run(source);
+  EXPECT_EQ(r.levels, serial.levels);
+  EXPECT_EQ(r.parents, serial.parents);
 
   const auto* resilient =
       dynamic_cast<const bfs::ResilientEngine*>(engine.get());

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <vector>
 
-#include "baselines/beamer_hybrid.hpp"
 #include "baselines/cpu_bfs.hpp"
 #include "baselines/cpu_parallel_bfs.hpp"
 #include "bfs/trace_io.hpp"
@@ -17,6 +16,7 @@
 #include "graph/digest.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
+#include "util/pool.hpp"
 
 namespace ent {
 namespace {
@@ -99,25 +99,41 @@ TEST(TraceIo, CountersCsvRoundTrips) {
 
 // ---- parallel host BFS ---------------------------------------------------------
 
+// The pooled search gives the serial search's tree and trace at every pool
+// size, and both match the sequential reference's levels.
 class CpuParallelThreads : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(CpuParallelThreads, MatchesSequentialReference) {
   const Csr g = test_graph(5);
   const vertex_t src = connected_source(g);
   const auto ref = baselines::cpu_bfs(g, src);
-  baselines::CpuParallelOptions opt;
-  opt.num_threads = GetParam();
-  const auto got = baselines::cpu_parallel_bfs(g, src, opt);
+  baselines::CpuParallelOptions serial;
+  serial.num_threads = 1;
+  const auto want = baselines::cpu_parallel_bfs(g, src, serial);
+  util::ScopedHostPool pool(GetParam());
+  const auto got = baselines::cpu_parallel_bfs(g, src);
   EXPECT_TRUE(bfs::validate_levels(got.levels, ref.levels).ok);
   EXPECT_EQ(got.vertices_visited, ref.vertices_visited);
   EXPECT_EQ(got.depth, ref.depth);
   EXPECT_EQ(got.edges_traversed, ref.edges_traversed);
-  // The parent tree must be valid even though claim order is nondeterministic.
   EXPECT_TRUE(bfs::validate_tree(g, g, got).ok);
+  EXPECT_EQ(got.levels, want.levels);
+  EXPECT_EQ(got.parents, want.parents);
+  ASSERT_EQ(got.level_trace.size(), want.level_trace.size());
+  for (std::size_t i = 0; i < got.level_trace.size(); ++i) {
+    const bfs::LevelTrace& a = got.level_trace[i];
+    const bfs::LevelTrace& b = want.level_trace[i];
+    EXPECT_EQ(a.direction, b.direction) << "level " << i;
+    EXPECT_EQ(a.frontier_count, b.frontier_count) << "level " << i;
+    EXPECT_EQ(a.edges_inspected, b.edges_inspected) << "level " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.alpha),
+              std::bit_cast<std::uint64_t>(b.alpha))
+        << "level " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CpuParallelThreads,
-                         ::testing::Values(1, 2, 4, 8));
+                         ::testing::Values(1, 2, 4, 7));
 
 TEST(CpuParallel, DirectedGraphCorrect) {
   graph::RmatParams p;
@@ -131,17 +147,6 @@ TEST(CpuParallel, DirectedGraphCorrect) {
   opt.num_threads = 4;
   const auto got = baselines::cpu_parallel_bfs(g, src, opt);
   EXPECT_TRUE(bfs::validate_levels(got.levels, ref.levels).ok);
-}
-
-TEST(CpuParallel, RepeatedRunsAgreeOnLevels) {
-  const Csr g = test_graph(6);
-  const vertex_t src = connected_source(g);
-  baselines::CpuParallelOptions opt;
-  opt.num_threads = 4;
-  const auto a = baselines::cpu_parallel_bfs(g, src, opt);
-  const auto b = baselines::cpu_parallel_bfs(g, src, opt);
-  // Parents may differ run to run; levels never do.
-  EXPECT_EQ(a.levels, b.levels);
 }
 
 // ---- host direction-optimizing BFS -----------------------------------------
@@ -185,8 +190,10 @@ std::vector<vertex_t> quarter_sources(const Csr& g) {
 }
 
 // The host hybrid's trees and traces on three graph families, pinned bit for
-// bit. The cases reach a top-down level of more than 1,024 entries (the TW
-// switch-back levels) and bottom-up sweeps of more than 16,384 vertices.
+// bit for the serial search and for the pooled one at several pool sizes.
+// The cases reach a top-down level of more than 1,024 entries (the TW
+// switch-back levels) and bottom-up sweeps of more than 16,384 vertices, so
+// both pooled merges run.
 TEST(HostHybrid, PinnedTreesAndTraces) {
   graph::KroneckerParams kp;
   kp.scale = 16;
@@ -228,23 +235,37 @@ TEST(HostHybrid, PinnedTreesAndTraces) {
 
   bool wide_top_down = false;
   bool wide_bottom_up = false;
-  for (const Case& c : cases) {
-    const Csr& g = *c.graph;
-    const std::vector<vertex_t> sources = quarter_sources(g);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << c.name << " source " << sources[i]);
-      ASSERT_EQ(sources[i], c.pins[i].source);
-      const bfs::BfsResult r =
-          baselines::beamer_hybrid_bfs(g, g.in_edges(), sources[i]);
-      EXPECT_EQ(tree_digest(r), c.pins[i].tree_digest);
-      EXPECT_EQ(trace_digest(r), c.pins[i].trace_digest);
-      for (const bfs::LevelTrace& t : r.level_trace) {
-        wide_top_down |= t.direction == bfs::Direction::kTopDown &&
-                         t.frontier_count > 1024;
-        wide_bottom_up |= t.direction == bfs::Direction::kBottomUp &&
-                          g.num_vertices() > 16384;
+  const auto expect_pins = [&](const baselines::CpuParallelOptions& options) {
+    for (const Case& c : cases) {
+      const Csr& g = *c.graph;
+      const std::vector<vertex_t> sources = quarter_sources(g);
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " source " << sources[i]);
+        ASSERT_EQ(sources[i], c.pins[i].source);
+        const bfs::BfsResult r =
+            baselines::cpu_parallel_bfs(g, sources[i], options);
+        EXPECT_EQ(tree_digest(r), c.pins[i].tree_digest);
+        EXPECT_EQ(trace_digest(r), c.pins[i].trace_digest);
+        for (const bfs::LevelTrace& t : r.level_trace) {
+          wide_top_down |= t.direction == bfs::Direction::kTopDown &&
+                           t.frontier_count > 1024;
+          wide_bottom_up |= t.direction == bfs::Direction::kBottomUp &&
+                            g.num_vertices() > 16384;
+        }
       }
     }
+  };
+  {
+    SCOPED_TRACE("serial");
+    baselines::CpuParallelOptions serial;
+    serial.num_threads = 1;
+    expect_pins(serial);
+  }
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " pool threads");
+    util::ScopedHostPool pool(threads);
+    expect_pins({});
   }
   EXPECT_TRUE(wide_top_down);
   EXPECT_TRUE(wide_bottom_up);
