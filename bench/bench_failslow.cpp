@@ -47,11 +47,11 @@ Outcome run_config(const graph::Csr& g, unsigned gpus, double factor,
   obs::MetricsRegistry metrics;
   injector.set_metrics(&metrics);
 
+  enterprise::EnterpriseOptions eopt = bench::enterprise_options(opt);
+  eopt.fault_injector = &injector;
+  eopt.metrics = &metrics;
   enterprise::MultiGpuOptions mopt;
   mopt.num_gpus = gpus;
-  mopt.per_device.device = opt.device();
-  mopt.per_device.fault_injector = &injector;
-  mopt.per_device.metrics = &metrics;
   mopt.straggler.enabled = true;
   mopt.straggler.speculation = mode == Mitigation::kSpeculate;
   mopt.straggler.rebalance = mode == Mitigation::kRebalance;
@@ -60,7 +60,7 @@ Outcome run_config(const graph::Csr& g, unsigned gpus, double factor,
   mopt.straggler.speculation_limit = 1u << 20;
   mopt.straggler.rebalance_limit = 1u << 20;
 
-  enterprise::MultiGpuEnterpriseBfs sys(g, mopt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, eopt, mopt);
   Outcome out;
   const auto sources = bfs::sample_sources(g, opt.sources, opt.seed);
   for (graph::vertex_t s : sources) {

@@ -30,8 +30,8 @@ Point run_multi(const graph::Csr& g, unsigned gpus,
                 const bench::BenchOptions& opt) {
   enterprise::MultiGpuOptions mopt;
   mopt.num_gpus = gpus;
-  mopt.per_device.device = opt.device();
-  enterprise::MultiGpuEnterpriseBfs sys(g, mopt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, bench::enterprise_options(opt),
+                                        mopt);
   double teps_sum = 0.0;
   double comm = 0.0;
   const auto sources = bfs::sample_sources(g, opt.sources, opt.seed);
@@ -132,9 +132,9 @@ int main(int argc, char** argv) {
                               enterprise::PartitionPolicy::kEqualEdges}) {
       enterprise::MultiGpuOptions mopt;
       mopt.num_gpus = 4;
-      mopt.per_device.device = opt.device();
       mopt.partition = policy;
-      enterprise::MultiGpuEnterpriseBfs sys(g, mopt);
+      enterprise::MultiGpuEnterpriseBfs sys(g, bench::enterprise_options(opt),
+                                            mopt);
       const auto r =
           sys.run(bfs::sample_sources(g, 1, opt.seed).at(0));
       graph::edge_t lo = g.num_edges();
@@ -189,9 +189,9 @@ int main(int argc, char** argv) {
            {sim::TopologyKind::kRing, sim::TopologyKind::kButterfly,
             sim::TopologyKind::kFatTree}) {
         for (const unsigned gpus : {8u, 64u}) {
+          enterprise::EnterpriseOptions eopt = bench::enterprise_options(opt);
           enterprise::MultiGpuOptions mopt;
           mopt.num_gpus = gpus;
-          mopt.per_device.device = opt.device();
           mopt.interconnect.topology.kind = kind;
           std::optional<sim::FaultInjector> injector;
           if (storm) {
@@ -202,9 +202,9 @@ int main(int argc, char** argv) {
               return 1;
             }
             injector.emplace(*plan);
-            mopt.per_device.fault_injector = &*injector;
+            eopt.fault_injector = &*injector;
           }
-          enterprise::MultiGpuEnterpriseBfs sys(g, mopt);
+          enterprise::MultiGpuEnterpriseBfs sys(g, eopt, mopt);
           double teps = 0.0;
           double comm = 0.0;
           double mb = 0.0;

@@ -55,7 +55,6 @@ bfs::RunSummary run_spec(const std::string& spec, const graph::Csr& g,
   bfs::EngineConfig config;
   config.device = eopt.device;
   config.enterprise = eopt;
-  config.multi_gpu.per_device = eopt;
   const auto engine = bfs::make_engine(spec, g, config);
   if (engine == nullptr) {
     throw std::invalid_argument("bench: make_engine rejected spec '" + spec +

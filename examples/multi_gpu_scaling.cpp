@@ -35,10 +35,11 @@ int main(int argc, char** argv) {
                "comm bytes", "saved by ballot"});
   double base_time = 0.0;
   for (unsigned gpus = 1; gpus <= max_gpus; gpus *= 2) {
+    enterprise::EnterpriseOptions eopt;
+    eopt.device = sim::scaled_down(sim::k40(), device_scale);
     enterprise::MultiGpuOptions opt;
     opt.num_gpus = gpus;
-    opt.per_device.device = sim::scaled_down(sim::k40(), device_scale);
-    enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+    enterprise::MultiGpuEnterpriseBfs sys(g, eopt, opt);
     const auto r = sys.run(source);
     const auto& stats = sys.last_run_stats();
     if (gpus == 1) base_time = r.time_ms;

@@ -12,7 +12,6 @@
 
 namespace ent::baselines {
 
-using enterprise::Granularity;
 using enterprise::StatusArray;
 using graph::edge_t;
 using graph::vertex_t;
@@ -59,7 +58,6 @@ bfs::BfsResult AtomicQueueBfs::run(vertex_t source) {
     std::vector<vertex_t> next;
     edge_t inspected = 0;
     std::uint64_t atomics = 0;
-    sim::WarpAccumulator acc(device_->spec().warp_size);
     for (vertex_t v : queue) {
       edge_t d = 0;
       std::uint64_t work = enterprise::kExpandSetupCycles;
@@ -76,14 +74,8 @@ bfs::BfsResult AtomicQueueBfs::run(vertex_t source) {
         }
       }
       inspected += d;
-      if (options_.granularity == Granularity::kThread) {
-        acc.add_thread(work);
-      } else {
-        enterprise::charge_group_work(rec, device_->spec(),
-                                      options_.granularity, work);
-      }
+      enterprise::charge_group_work(rec, device_->spec(), kGranularity, work);
     }
-    acc.charge(rec);
 
     const auto& mm = device_->memory();
     mm.record_load(rec.mem, sim::AccessPattern::kSequential, queue.size(),

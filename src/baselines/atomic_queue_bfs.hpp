@@ -21,7 +21,6 @@ class TraceSink;
 namespace ent::baselines {
 
 struct AtomicQueueOptions {
-  enterprise::Granularity granularity = enterprise::Granularity::kWarp;
   sim::DeviceSpec device = sim::k40();
   // Observability taps (obs/); null disables. Must outlive the system.
   obs::TraceSink* sink = nullptr;
@@ -30,6 +29,10 @@ struct AtomicQueueOptions {
 
 class AtomicQueueBfs {
  public:
+  // Each frontier's adjacency list is walked by one warp.
+  static constexpr enterprise::Granularity kGranularity =
+      enterprise::Granularity::kWarp;
+
   AtomicQueueBfs(const graph::Csr& g, AtomicQueueOptions options = {});
 
   bfs::BfsResult run(graph::vertex_t source);

@@ -49,7 +49,9 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
   std::int32_t level = 0;
   vertex_t frontier_count = 1;
   vertex_t prev_frontier_count = 0;
-  edge_t visited_degree_sum = g.out_degree(source);
+  // m_f: the out-degree sum of the current frontier (status == level).
+  edge_t m_f = g.out_degree(source);
+  edge_t visited_degree_sum = m_f;
   const edge_t total_edges = g.num_edges();
 
   while (frontier_count > 0) {
@@ -60,26 +62,19 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
     trace.level = level;
     const double level_start = device_->elapsed_ms();
 
-    // Direction heuristics on the current frontier (status == level).
-    edge_t m_f = 0;
-    for (vertex_t v = 0; v < n; ++v) {
-      if (status.level(v) == level) m_f += g.out_degree(v);
-    }
     trace.alpha =
         enterprise::compute_alpha(total_edges - visited_degree_sum, m_f);
-    if (options_.allow_direction_switch) {
-      // Beamer's switch: the frontier has grown large enough that checking
-      // its edges costs more than a bottom-up sweep (m_f > m_u / alpha).
-      if (!bottom_up && level > 0 && frontier_count > prev_frontier_count &&
-          trace.alpha < options_.alpha) {
-        bottom_up = true;
-      } else if (bottom_up && frontier_count < prev_frontier_count &&
-                 static_cast<double>(frontier_count) <
-                     static_cast<double>(n) / options_.beta) {
-        // Beamer's switch-back in the final stages: the frontier has shrunk
-        // below n / beta, so top-down edge checks are cheaper again.
-        bottom_up = false;
-      }
+    // Beamer's switch: the frontier has grown large enough that checking
+    // its edges costs more than a bottom-up sweep (m_f > m_u / alpha).
+    if (!bottom_up && level > 0 && frontier_count > prev_frontier_count &&
+        trace.alpha < kAlpha) {
+      bottom_up = true;
+    } else if (bottom_up && frontier_count < prev_frontier_count &&
+               static_cast<double>(frontier_count) <
+                   static_cast<double>(n) / kBeta) {
+      // Beamer's switch-back in the final stages: the frontier has shrunk
+      // below n / beta, so top-down edge checks are cheaper again.
+      bottom_up = false;
     }
     trace.direction =
         bottom_up ? bfs::Direction::kBottomUp : bfs::Direction::kTopDown;
@@ -87,15 +82,11 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
     sim::KernelRecord rec;
     rec.name = bottom_up ? "SA-bottom-up" : "SA-top-down";
     const enterprise::ExpandOutput out =
-        bottom_up
-            ? enterprise::expand_status_bottom_up(*in_edges_, status, parents,
-                                                  options_.granularity,
-                                                  level + 1,
-                                                  device_->memory(), rec)
-            : enterprise::expand_status_top_down(g, status, parents,
-                                                 options_.granularity,
-                                                 level + 1, device_->memory(),
-                                                 rec);
+        bottom_up ? enterprise::expand_status_bottom_up(
+                        *in_edges_, status, parents, level + 1,
+                        device_->memory(), rec)
+                  : enterprise::expand_status_top_down(
+                        g, status, parents, level + 1, device_->memory(), rec);
     trace.expand_ms = enterprise::launch(*device_, std::move(rec), trace,
                                          options_.sink, "expand",
                                          frontier_count);
@@ -104,11 +95,14 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
 
     prev_frontier_count = frontier_count;
     frontier_count = out.newly_visited;
-    // Maintain m_u for alpha.
+    // The vertices just marked level + 1 are the next frontier: one walk
+    // gives both its m_f and its share of m_u.
     if (out.newly_visited > 0) {
+      m_f = 0;
       for (vertex_t v = 0; v < n; ++v) {
-        if (status.level(v) == level + 1) visited_degree_sum += g.out_degree(v);
+        if (status.level(v) == level + 1) m_f += g.out_degree(v);
       }
+      visited_degree_sum += m_f;
     }
     trace.total_ms = device_->elapsed_ms() - level_start;
     if (options_.sink != nullptr) {

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "bfs/result.hpp"
-#include "enterprise/classify.hpp"
 #include "graph/csr.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/spec.hpp"
@@ -26,12 +25,6 @@ class FaultInjector;
 namespace ent::baselines {
 
 struct StatusArrayOptions {
-  // Granularity assigned to each status-array entry. The paper's BL uses
-  // CTA; the GraphBIG-like comparator uses Thread.
-  enterprise::Granularity granularity = enterprise::Granularity::kCta;
-  bool allow_direction_switch = true;
-  double alpha = 15.0;   // top-down -> bottom-up threshold [10]
-  double beta = 18.0;    // bottom-up -> top-down: n / n_f > beta switches back
   sim::DeviceSpec device = sim::k40();
   // Observability taps (obs/); null disables. Must outlive the system.
   obs::TraceSink* sink = nullptr;
@@ -44,6 +37,11 @@ struct StatusArrayOptions {
 
 class StatusArrayBfs {
  public:
+  // Beamer's switch thresholds [10]: top-down -> bottom-up once the
+  // frontier's edges exceed m_u / kAlpha; back once n / n_f > kBeta.
+  static constexpr double kAlpha = 15.0;
+  static constexpr double kBeta = 18.0;
+
   StatusArrayBfs(const graph::Csr& g, StatusArrayOptions options = {});
   ~StatusArrayBfs();
 

@@ -7,9 +7,11 @@
 #include <sstream>
 #include <string_view>
 
+#include "baselines/atomic_queue_bfs.hpp"
 #include "baselines/comparators.hpp"
 #include "baselines/cpu_bfs.hpp"
 #include "baselines/cpu_parallel_bfs.hpp"
+#include "baselines/status_array_bfs.hpp"
 #include "bfs/guarded.hpp"
 #include "bfs/program.hpp"
 #include "bfs/resilient.hpp"
@@ -30,6 +32,21 @@ std::string fmt1(double v) {
 
 std::string device_suffix(const sim::DeviceSpec& spec) {
   return " device=" + spec.name;
+}
+
+// The options every Enterprise engine runs with: the config's technique
+// toggles plus its shared device and taps.
+enterprise::EnterpriseOptions enterprise_options(const EngineConfig& config) {
+  enterprise::EnterpriseOptions opt = config.enterprise;
+  opt.device = config.device;
+  opt.sink = config.sink;
+  opt.metrics = config.metrics;
+  opt.fault_injector = config.fault_injector;
+  opt.device_ordinal = config.device_ordinal;
+  opt.checkpointer = config.checkpointer;
+  opt.guard = config.guard;
+  opt.integrity = config.integrity;
+  return opt;
 }
 
 }  // namespace
@@ -83,19 +100,11 @@ namespace {
 class EnterpriseEngine final : public Engine {
  public:
   EnterpriseEngine(const graph::Csr& g, const EngineConfig& config) {
-    enterprise::EnterpriseOptions opt = config.enterprise;
-    opt.device = config.device;
-    opt.sink = config.sink;
-    opt.metrics = config.metrics;
-    opt.fault_injector = config.fault_injector;
-    opt.device_ordinal = config.device_ordinal;
-    opt.checkpointer = config.checkpointer;
-    opt.guard = config.guard;
-    opt.integrity = config.integrity;
     sink_ = config.sink;
     metrics_ = config.metrics;
     impl_emits_levels_ = true;  // EnterpriseBfs emits spans + level events
-    system_ = std::make_unique<enterprise::EnterpriseBfs>(g, opt);
+    system_ = std::make_unique<enterprise::EnterpriseBfs>(
+        g, enterprise_options(config));
   }
 
   std::string name() const override { return "enterprise"; }
@@ -130,18 +139,11 @@ class EnterpriseEngine final : public Engine {
 class MultiGpuEngine final : public Engine {
  public:
   MultiGpuEngine(const graph::Csr& g, const EngineConfig& config) {
-    enterprise::MultiGpuOptions opt = config.multi_gpu;
-    opt.per_device.device = config.device;
-    opt.per_device.sink = config.sink;
-    opt.per_device.metrics = config.metrics;
-    opt.per_device.fault_injector = config.fault_injector;
-    opt.per_device.checkpointer = config.checkpointer;
-    opt.per_device.guard = config.guard;
-    opt.per_device.integrity = config.integrity;
     sink_ = config.sink;
     metrics_ = config.metrics;
     impl_emits_levels_ = true;
-    system_ = std::make_unique<enterprise::MultiGpuEnterpriseBfs>(g, opt);
+    system_ = std::make_unique<enterprise::MultiGpuEnterpriseBfs>(
+        g, enterprise_options(config), config.multi_gpu);
   }
 
   std::string name() const override { return "multi-gpu"; }
@@ -152,7 +154,7 @@ class MultiGpuEngine final : public Engine {
            (o.partition == enterprise::PartitionPolicy::kEqualVertices
                 ? "vertices"
                 : "edges") +
-           device_suffix(o.per_device.device);
+           device_suffix(system_->enterprise_options().device);
   }
 
  protected:
@@ -167,25 +169,25 @@ class MultiGpuEngine final : public Engine {
 class StatusArrayEngine final : public Engine {
  public:
   StatusArrayEngine(const graph::Csr& g, const EngineConfig& config) {
-    baselines::StatusArrayOptions opt = config.status_array;
-    opt.device = config.device;
-    opt.sink = config.sink;
-    opt.metrics = config.metrics;
-    opt.fault_injector = config.fault_injector;
-    opt.device_ordinal = config.device_ordinal;
     sink_ = config.sink;
     metrics_ = config.metrics;
     impl_emits_levels_ = true;
-    system_ = std::make_unique<baselines::StatusArrayBfs>(g, opt);
+    system_ = std::make_unique<baselines::StatusArrayBfs>(
+        g, baselines::StatusArrayOptions{
+               .device = config.device,
+               .sink = config.sink,
+               .metrics = config.metrics,
+               .fault_injector = config.fault_injector,
+               .device_ordinal = config.device_ordinal});
   }
 
   std::string name() const override { return "bl"; }
 
   std::string options_summary() const override {
-    const auto& o = system_->options();
-    return std::string("granularity=") + enterprise::to_string(o.granularity) +
-           " alpha=" + fmt1(o.alpha) + " beta=" + fmt1(o.beta) +
-           device_suffix(o.device);
+    using baselines::StatusArrayBfs;
+    return "granularity=CTA alpha=" + fmt1(StatusArrayBfs::kAlpha) +
+           " beta=" + fmt1(StatusArrayBfs::kBeta) +
+           device_suffix(system_->options().device);
   }
 
   const sim::Device* device() const override { return &system_->device(); }
@@ -202,22 +204,21 @@ class StatusArrayEngine final : public Engine {
 class AtomicQueueEngine final : public Engine {
  public:
   AtomicQueueEngine(const graph::Csr& g, const EngineConfig& config) {
-    baselines::AtomicQueueOptions opt = config.atomic_queue;
-    opt.device = config.device;
-    opt.sink = config.sink;
-    opt.metrics = config.metrics;
     sink_ = config.sink;
     metrics_ = config.metrics;
     impl_emits_levels_ = true;
-    system_ = std::make_unique<baselines::AtomicQueueBfs>(g, opt);
+    system_ = std::make_unique<baselines::AtomicQueueBfs>(
+        g, baselines::AtomicQueueOptions{.device = config.device,
+                                         .sink = config.sink,
+                                         .metrics = config.metrics});
   }
 
   std::string name() const override { return "atomic"; }
 
   std::string options_summary() const override {
-    const auto& o = system_->options();
-    return std::string("granularity=") + enterprise::to_string(o.granularity) +
-           device_suffix(o.device);
+    return std::string("granularity=") +
+           enterprise::to_string(baselines::AtomicQueueBfs::kGranularity) +
+           device_suffix(system_->options().device);
   }
 
   const sim::Device* device() const override { return &system_->device(); }
@@ -294,17 +295,8 @@ class ProgramEngineAdapter final : public Engine {
     const ProgramParams params{spec.params};
     std::unique_ptr<VertexProgram> program =
         make_program(spec.program, g, params);
-    enterprise::EnterpriseOptions opt = spec.base == "multi-gpu"
-                                            ? config.multi_gpu.per_device
-                                            : config.enterprise;
-    opt.device = config.device;
-    opt.sink = config.sink;
-    opt.metrics = config.metrics;
-    opt.fault_injector = config.fault_injector;
-    opt.device_ordinal = config.device_ordinal;
+    enterprise::EnterpriseOptions opt = enterprise_options(config);
     opt.checkpointer = nullptr;  // supersteps do not checkpoint
-    opt.guard = config.guard;
-    opt.integrity = config.integrity;
     sink_ = config.sink;
     metrics_ = config.metrics;
     impl_emits_levels_ = true;  // ProgramRunner emits spans + level events

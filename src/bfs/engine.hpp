@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/atomic_queue_bfs.hpp"
-#include "baselines/status_array_bfs.hpp"
 #include "bfs/guard.hpp"
 #include "bfs/integrity.hpp"
 #include "bfs/result.hpp"
@@ -58,16 +56,18 @@ struct ResilienceOptions {
   bool validate = true;
 };
 
-// One config covers every engine: the factory copies the relevant per-engine
-// options block and overrides its device/telemetry members with the shared
-// fields below, so callers set the device and sinks exactly once.
+// One config covers every engine. `enterprise` holds the technique toggles
+// that every Enterprise engine runs with: `enterprise`, `multi-gpu` (on each
+// of its devices) and their vertex programs. `multi_gpu` adds only the
+// partition: device count, interconnect, physical ids, straggler ladder. The
+// factory overrides the toggles' device and telemetry members with the
+// shared fields below, so callers set the device and sinks exactly once.
+// The baselines take nothing but those shared fields.
 struct EngineConfig {
   sim::DeviceSpec device = sim::k40();
 
   enterprise::EnterpriseOptions enterprise;
   enterprise::MultiGpuOptions multi_gpu;
-  baselines::StatusArrayOptions status_array;
-  baselines::AtomicQueueOptions atomic_queue;
 
   obs::TraceSink* sink = nullptr;
   obs::MetricsRegistry* metrics = nullptr;

@@ -71,8 +71,7 @@ std::uint64_t GuardedEngine::admission_estimate(const std::string& engine_name,
   }
   const std::uint64_t status = n * enterprise::kStatusBytes;
   if (base == "enterprise" || base == "multi-gpu") {
-    const enterprise::EnterpriseOptions& opt =
-        base == "multi-gpu" ? config.multi_gpu.per_device : config.enterprise;
+    const enterprise::EnterpriseOptions& opt = config.enterprise;
     // The shrink-queue degradation books the frontier queue at one byte per
     // vertex instead of a full vertex id (paid for in simulated time by the
     // quartered scan width).
@@ -136,19 +135,14 @@ void GuardedEngine::negotiate_budget(const graph::Csr& g) {
     EngineSpec active = parse_spec(active_name_);
     const std::string& base = active.base;
     const char* action = nullptr;
-    if (base_cooperative(base) && (config_.enterprise.hub_cache ||
-                                   config_.multi_gpu.per_device.hub_cache)) {
+    if (base_cooperative(base) && config_.enterprise.hub_cache) {
       config_.enterprise.hub_cache = false;
-      config_.multi_gpu.per_device.hub_cache = false;
       action = "drop-hub-cache";
     } else if (base_cooperative(base) && !shrunk_queue_) {
       shrunk_queue_ = true;
-      const auto quarter = [&](unsigned& threads) {
-        threads = std::max(
-            1u, enterprise::scan_launch_width(threads, config_.device) / 4);
-      };
-      quarter(config_.enterprise.scan_threads);
-      quarter(config_.multi_gpu.per_device.scan_threads);
+      unsigned& threads = config_.enterprise.scan_threads;
+      threads = std::max(
+          1u, enterprise::scan_launch_width(threads, config_.device) / 4);
       action = "shrink-queue";
     } else if (active.has_program()) {
       // Program workloads skip the status-array rung — it only walks BFS —

@@ -202,10 +202,14 @@ BfsResult ResilientEngine::do_run(graph::vertex_t source) {
   int attempts_total = 0;
   std::string last_error = "no attempt made";
 
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
+  // A run starts on the stage an earlier run fell back to: its engine is
+  // the one current_ holds, and a lost device stays lost.
+  const std::size_t first_stage = static_cast<std::size_t>(
+      std::find(stages.begin(), stages.end(), current_name_) - stages.begin());
+  for (std::size_t stage = first_stage; stage < stages.size(); ++stage) {
     const std::string& stage_name = stages[stage];
     const EngineSpec stage_spec = parse_spec(stage_name);
-    if (stage > 0) {
+    if (stage > first_stage) {
       std::unique_ptr<Engine> next = build_stage(stage_name);
       if (next == nullptr) continue;  // unknown fallback name
       current_ = std::move(next);
@@ -216,6 +220,35 @@ BfsResult ResilientEngine::do_run(graph::vertex_t source) {
     const bool checkpoints =
         opts.use_checkpoints && stage_checkpoints(stage_spec);
     int attempt = 0;  // retry budget consumed on this stage
+    // Books one retry of this stage after a recoverable fault: the backoff,
+    // then a replay from the last intact checkpoint where the stage keeps
+    // one. False once the stage's retry budget is spent.
+    const auto retry = [&] {
+      if (attempt >= opts.max_retries) return false;
+      ++attempt;
+      ++run_stats_.retries;
+      const double backoff =
+          std::min(opts.backoff_base_ms * std::ldexp(1.0, attempt - 1),
+                   opts.backoff_cap_ms);
+      run_stats_.backoff_ms += backoff;
+      carried_ms += backoff;
+      const LevelCheckpoint* cp = nullptr;
+      try {
+        cp = store_.restore();
+      } catch (const sim::IntegrityFault&) {
+        // The snapshot itself is corrupt; restart this stage from the
+        // source rather than replaying garbage.
+        ++run_stats_.integrity_faults;
+        store_.clear();
+      }
+      const bool replay = checkpoints && cp != nullptr && cp->source == source;
+      if (replay) ++run_stats_.replays;
+      emit_recovery(
+          replay ? "replay-checkpoint" : "retry",
+          replay ? "level " + std::to_string(cp->next_level) : stage_name,
+          attempt, backoff);
+      return true;
+    };
     while (true) {
       ++attempts_total;
       try {
@@ -316,30 +349,7 @@ BfsResult ResilientEngine::do_run(graph::vertex_t source) {
           }
           break;
         }
-        if (attempt >= opts.max_retries) break;  // budget exhausted
-        ++attempt;
-        ++run_stats_.retries;
-        const double backoff =
-            std::min(opts.backoff_base_ms * std::ldexp(1.0, attempt - 1),
-                     opts.backoff_cap_ms);
-        run_stats_.backoff_ms += backoff;
-        carried_ms += backoff;
-        const LevelCheckpoint* cp = nullptr;
-        try {
-          cp = store_.restore();
-        } catch (const sim::IntegrityFault&) {
-          // The snapshot itself is corrupt; restart this stage from the
-          // source rather than replaying garbage.
-          ++run_stats_.integrity_faults;
-          store_.clear();
-        }
-        const bool replay =
-            checkpoints && cp != nullptr && cp->source == source;
-        if (replay) ++run_stats_.replays;
-        emit_recovery(
-            replay ? "replay-checkpoint" : "retry",
-            replay ? "level " + std::to_string(cp->next_level) : stage_name,
-            attempt, backoff);
+        if (!retry()) break;  // budget exhausted
       } catch (const sim::IntegrityFault& fault) {
         // Detected silent corruption (failed audit, digest mismatch, or a
         // bad checkpoint checksum). Recover like a transient fault: the
@@ -355,28 +365,7 @@ BfsResult ResilientEngine::do_run(graph::vertex_t source) {
           // throw the same fault forever.
           store_.clear();
         }
-        if (attempt >= opts.max_retries) break;
-        ++attempt;
-        ++run_stats_.retries;
-        const double backoff =
-            std::min(opts.backoff_base_ms * std::ldexp(1.0, attempt - 1),
-                     opts.backoff_cap_ms);
-        run_stats_.backoff_ms += backoff;
-        carried_ms += backoff;
-        const LevelCheckpoint* cp = nullptr;
-        try {
-          cp = store_.restore();
-        } catch (const sim::IntegrityFault&) {
-          ++run_stats_.integrity_faults;
-          store_.clear();
-        }
-        const bool replay =
-            checkpoints && cp != nullptr && cp->source == source;
-        if (replay) ++run_stats_.replays;
-        emit_recovery(
-            replay ? "replay-checkpoint" : "retry",
-            replay ? "level " + std::to_string(cp->next_level) : stage_name,
-            attempt, backoff);
+        if (!retry()) break;
       }
     }
   }

@@ -11,7 +11,8 @@
 //                      continue from the checkpoint; single-GPU: move down
 //                      the fallback cascade on a fresh device ordinal
 //   budget exhausted   fallback cascade (default enterprise -> bl ->
-//                      cpu-parallel); the result is marked `degraded`
+//                      cpu-parallel); the result is marked `degraded`,
+//                      and later runs start on the stage it reached
 //
 // Every fault-recovered result is re-checked before it is accepted:
 // Graph500-style tree validation for BFS, the program's own invariant

@@ -308,7 +308,7 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
 
 ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
                                     std::vector<vertex_t>& parents,
-                                    Granularity gran, std::int32_t next_level,
+                                    std::int32_t next_level,
                                     const sim::MemoryModel& mm,
                                     sim::KernelRecord& record) {
   ExpandOutput out;
@@ -316,7 +316,6 @@ ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
   const vertex_t n = g.num_vertices();
   const std::int32_t frontier_level = next_level - 1;
 
-  sim::WarpAccumulator thread_acc(mm.spec().warp_size);
   for (vertex_t v = 0; v < n; ++v) {
     const bool is_frontier = status.level(v) == frontier_level;
     edge_t inspected = 0;
@@ -340,39 +339,28 @@ ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
 
     const std::uint64_t work =
         inspected * kInspectCycles + visited_here * kVisitCycles;
-    if (gran == Granularity::kThread) {
-      thread_acc.add_thread(kScanCycles + work);
-      record.critical_cycles = std::max(record.critical_cycles,
-                                        chain_cycles(mm.spec(), work, 1));
-    } else {
-      // Every vertex — frontier or not — occupies a whole thread group:
-      // the over-commitment of Challenge #1.
-      charge_group_work(record, mm.spec(), gran, kScanCycles + work);
-    }
+    // Every vertex — frontier or not — occupies a whole CTA: the
+    // over-commitment of Challenge #1.
+    charge_group_work(record, mm.spec(), Granularity::kCta,
+                      kScanCycles + work);
   }
-  thread_acc.charge(record);
 
-  // Status reads of the scan itself: thread-per-vertex is coalesced;
-  // group-per-vertex issues one uncoalesced sector per group.
-  mm.record_load(record.mem,
-                 gran == Granularity::kThread ? AccessPattern::kSequential
-                                              : AccessPattern::kRandom,
-                 n, kStatusBytes);
-  record_tally(tally, gran, QueueOrder::kSorted, mm, record);
+  // Status reads of the scan itself: one uncoalesced sector per CTA.
+  mm.record_load(record.mem, AccessPattern::kRandom, n, kStatusBytes);
+  record_tally(tally, Granularity::kCta, QueueOrder::kSorted, mm, record);
   return out;
 }
 
 ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
                                      StatusArray& status,
                                      std::vector<vertex_t>& parents,
-                                     Granularity gran, std::int32_t next_level,
+                                     std::int32_t next_level,
                                      const sim::MemoryModel& mm,
                                      sim::KernelRecord& record) {
   ExpandOutput out;
   MemTally tally;
   const vertex_t n = in_edges.num_vertices();
 
-  sim::WarpAccumulator thread_acc(mm.spec().warp_size);
   for (vertex_t v = 0; v < n; ++v) {
     edge_t probes = 0;
     bool adopted = false;
@@ -397,21 +385,12 @@ ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
 
     const std::uint64_t work =
         probes * kInspectCycles + (adopted ? kVisitCycles : 0);
-    if (gran == Granularity::kThread) {
-      thread_acc.add_thread(kScanCycles + work);
-      record.critical_cycles = std::max(record.critical_cycles,
-                                        chain_cycles(mm.spec(), work, 1));
-    } else {
-      charge_group_work(record, mm.spec(), gran, kScanCycles + work);
-    }
+    charge_group_work(record, mm.spec(), Granularity::kCta,
+                      kScanCycles + work);
   }
-  thread_acc.charge(record);
 
-  mm.record_load(record.mem,
-                 gran == Granularity::kThread ? AccessPattern::kSequential
-                                              : AccessPattern::kRandom,
-                 n, kStatusBytes);
-  record_tally(tally, gran, QueueOrder::kSorted, mm, record);
+  mm.record_load(record.mem, AccessPattern::kRandom, n, kStatusBytes);
+  record_tally(tally, Granularity::kCta, QueueOrder::kSorted, mm, record);
   return out;
 }
 

@@ -2,9 +2,9 @@
 //
 // Queue-based kernels (Enterprise §4.1-§4.3): expand a frontier queue at a
 // chosen parallel granularity (Thread / Warp / CTA / Grid). Status-array
-// kernels (§2.1's second approach, used by the paper's baseline and the
-// GraphBIG-like comparator): launch one work item per *vertex*, with
-// non-frontier items idling — the over-commitment Challenge #1 describes.
+// kernels (§2.1's second approach, used by the paper's baseline BL): launch
+// one CTA per *vertex*, with non-frontier CTAs idling — the over-commitment
+// Challenge #1 describes.
 //
 // Every kernel performs the real traversal on the host graph while charging
 // SIMT issue cycles and memory streams to a sim::KernelRecord; launch()
@@ -75,26 +75,24 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
                               sim::KernelRecord& record,
                               QueueOrder order = QueueOrder::kSorted);
 
-// --- status-array based (baseline / comparators) -----------------------------
+// --- status-array based (baseline) -------------------------------------------
 
-// One work item per vertex at `gran`; only items whose vertex has status ==
-// next_level - 1 expand. Thread granularity coalesces its status reads
-// (adjacent threads, adjacent vertices); CTA granularity issues one
-// uncoalesced status read per CTA and burns 8 warps of issue slots per
-// vertex, which is what the paper's baseline pays for fast per-frontier
-// expansion.
+// One CTA per vertex; only CTAs whose vertex has status == next_level - 1
+// expand. Each CTA issues one uncoalesced status read and burns 8 warps of
+// issue slots per vertex, which is what the paper's baseline pays for fast
+// per-frontier expansion.
 ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
                                     std::vector<graph::vertex_t>& parents,
-                                    Granularity gran, std::int32_t next_level,
+                                    std::int32_t next_level,
                                     const sim::MemoryModel& mm,
                                     sim::KernelRecord& record);
 
-// One work item per vertex; unvisited vertices scan in-neighbors with early
-// exit, the rest idle.
+// One CTA per vertex; unvisited vertices scan in-neighbors with early exit,
+// the rest idle.
 ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
                                      StatusArray& status,
                                      std::vector<graph::vertex_t>& parents,
-                                     Granularity gran, std::int32_t next_level,
+                                     std::int32_t next_level,
                                      const sim::MemoryModel& mm,
                                      sim::KernelRecord& record);
 

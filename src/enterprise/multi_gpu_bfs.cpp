@@ -25,17 +25,18 @@ using graph::edge_t;
 using graph::vertex_t;
 
 MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
-                                             MultiGpuOptions options)
+                                             EnterpriseOptions options,
+                                             MultiGpuOptions multi)
     : graph_(&g),
-      options_(std::move(options)),
-      system_(options_.per_device.device, options_.num_gpus,
-              options_.interconnect),
+      enterprise_(std::move(options)),
+      options_(std::move(multi)),
+      system_(enterprise_.device, options_.num_gpus, options_.interconnect),
       ranges_(options_.partition == PartitionPolicy::kEqualVertices
                   ? graph::partition_equal_vertices(g.num_vertices(),
                                                     options_.num_gpus)
                   : graph::partition_equal_edges(g, options_.num_gpus)),
-      hubs_(&select_hubs(g, options_.per_device)),
-      digests_(scrub_digests(g, options_.per_device.integrity)),
+      hubs_(&select_hubs(g, enterprise_)),
+      digests_(scrub_digests(g, enterprise_.integrity)),
       detector_(options_.straggler) {
   ENT_ASSERT_MSG(!g.directed(),
                  "multi-GPU Enterprise requires an undirected graph");
@@ -52,14 +53,14 @@ MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
   // Kernel events from every member device flow to the shared sink; every
   // device and the interconnect share one fault injector.
   for (unsigned p = 0; p < system_.size(); ++p) {
-    system_.device(p).set_trace_sink(options_.per_device.sink);
+    system_.device(p).set_trace_sink(enterprise_.sink);
     system_.device(p).set_device_id(options_.device_ids[p]);
-    system_.device(p).set_fault_injector(options_.per_device.fault_injector);
+    system_.device(p).set_fault_injector(enterprise_.fault_injector);
   }
-  system_.interconnect().set_fault_injector(options_.per_device.fault_injector,
+  system_.interconnect().set_fault_injector(enterprise_.fault_injector,
                                             options_.device_ids);
-  system_.interconnect().set_sink(options_.per_device.sink);
-  system_.interconnect().set_metrics(options_.per_device.metrics);
+  system_.interconnect().set_sink(enterprise_.sink);
+  system_.interconnect().set_metrics(enterprise_.metrics);
 }
 
 bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
@@ -84,7 +85,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
   for (unsigned p = 0; p < P; ++p) statuses[p].visit(source, 0);
   parents[source] = source;
 
-  const EnterpriseOptions& eopt = options_.per_device;
+  const EnterpriseOptions& eopt = enterprise_;
   std::vector<HubCache> caches(P, HubCache(eopt.hub_cache_capacity));
 
   const auto owner_of = [&](vertex_t v) {
@@ -413,11 +414,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     // all-gather chain. On the default ring both the cost and the booked
     // volume reduce to the historical closed forms exactly.
     const sim::Interconnect& ic = system_.interconnect();
-    const bool butterfly =
-        ic.spec().topology.kind == sim::TopologyKind::kButterfly;
-    const double comm_ms =
-        butterfly ? ic.exchange_ms(bytes_each, P, system_.elapsed_ms())
-                  : ic.allgather_ms(bytes_each, P, system_.elapsed_ms());
+    const double comm_ms = ic.allgather_ms(bytes_each, P, system_.elapsed_ms());
     trace.comm_ms = comm_ms;
     stats_.comm_ms += comm_ms;
     const std::uint64_t level_exchange_bytes =

@@ -5,8 +5,9 @@
 // (3) scans its private slice of the merged status to build the next
 //     private queue.
 //
-// The traversal itself is exact (the shared host status array plays the
-// role of the post-all-gather merged view); timing is bulk-synchronous:
+// Each device keeps a private status array over the whole vertex space and
+// learns of remote visits only through the all-gather, which ORs every
+// device's just-visited bits into all P arrays; timing is bulk-synchronous:
 // per level, max over devices of (expand + queue-gen) plus the all-gather.
 // Bottom-up inspection reads in-edges of owned vertices, which a 1-D
 // out-edge partition only provides for undirected graphs — the same
@@ -32,7 +33,6 @@ enum class PartitionPolicy {
 
 struct MultiGpuOptions {
   unsigned num_gpus = 2;
-  EnterpriseOptions per_device;  // technique toggles, device spec
   sim::InterconnectSpec interconnect;
   PartitionPolicy partition = PartitionPolicy::kEqualVertices;
   // Physical ids behind the num_gpus logical slots (empty = 0..num_gpus-1).
@@ -55,24 +55,28 @@ struct MultiGpuRunStats {
 
 class MultiGpuEnterpriseBfs {
  public:
-  // Requires an undirected graph (see header comment).
-  MultiGpuEnterpriseBfs(const graph::Csr& g, MultiGpuOptions options);
+  // Requires an undirected graph (see header comment). Every device runs
+  // with `options`: its technique toggles, device spec and taps.
+  MultiGpuEnterpriseBfs(const graph::Csr& g, EnterpriseOptions options,
+                        MultiGpuOptions multi);
 
   bfs::BfsResult run(graph::vertex_t source);
 
   const MultiGpuRunStats& last_run_stats() const { return stats_; }
   const std::vector<graph::VertexRange>& partition() const { return ranges_; }
+  const EnterpriseOptions& enterprise_options() const { return enterprise_; }
   const MultiGpuOptions& options() const { return options_; }
 
  private:
   const graph::Csr* graph_;
+  EnterpriseOptions enterprise_;
   MultiGpuOptions options_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
   const graph::HubView* hubs_;  // borrowed from the graph (select_hubs)
   MultiGpuRunStats stats_;
   // Load-time segment digests, computed only when a scrub interval is set
-  // (per_device.integrity.scrub_interval).
+  // (enterprise_.integrity.scrub_interval).
   graph::SegmentDigests digests_;
   // Fail-slow machinery. The detector persists across run() calls so EWMAs
   // stay warm across sources; the per-physical-device rung counters make

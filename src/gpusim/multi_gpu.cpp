@@ -403,14 +403,6 @@ double Interconnect::allgather_ms(std::uint64_t bytes_each, unsigned parties,
   return run_collective(bytes_each, parties, now_ms);
 }
 
-double Interconnect::exchange_ms(std::uint64_t bytes_each, unsigned parties,
-                                 double now_ms) const {
-  // The collective dispatch is topology-driven, so the butterfly log-step
-  // exchange and the all-gather share one entry point; this alias exists
-  // so call sites can name the §ButterFly-style operation explicitly.
-  return allgather_ms(bytes_each, parties, now_ms);
-}
-
 // --- system -----------------------------------------------------------------
 
 MultiGpuSystem::MultiGpuSystem(const DeviceSpec& device_spec,

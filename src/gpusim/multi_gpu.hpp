@@ -96,13 +96,6 @@ class Interconnect {
   double allgather_ms(std::uint64_t bytes_each, unsigned parties,
                       double now_ms = 0.0) const;
 
-  // The ButterFly-BFS-style log-step combining exchange: log2(P) rounds of
-  // OR-combined slice-sized messages over the hypercube links. Requires
-  // the butterfly topology and a power-of-two party count; anything else
-  // falls back to allgather_ms (the surviving-ring pattern).
-  double exchange_ms(std::uint64_t bytes_each, unsigned parties,
-                     double now_ms = 0.0) const;
-
   // Closed-form communication volume of one collective at the spec's
   // topology — what the drivers book as exchanged bytes.
   std::uint64_t collective_volume(std::uint64_t bytes_each,

@@ -68,14 +68,6 @@ TEST(StatusArrayBfs, MatchesReferenceOnDirected) {
   expect_levels_match(g, bl.run(7), 7, "BL directed");
 }
 
-TEST(StatusArrayBfs, TopDownOnlyAlsoCorrect) {
-  const Csr g = test_kron(2);
-  baselines::StatusArrayOptions opt;
-  opt.allow_direction_switch = false;
-  baselines::StatusArrayBfs bl(g, opt);
-  expect_levels_match(g, bl.run(3), 3, "BL top-down");
-}
-
 TEST(AtomicQueueBfs, MatchesReference) {
   const Csr g = test_kron(3);
   baselines::AtomicQueueBfs aq(g);

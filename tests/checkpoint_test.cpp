@@ -231,19 +231,20 @@ TEST(MultiGpuCheckpoints, ReplayFromMidSnapshotMatchesUninterrupted) {
 
   enterprise::MultiGpuOptions clean_opt;
   clean_opt.num_gpus = 2;
-  enterprise::MultiGpuEnterpriseBfs clean(g, clean_opt);
+  enterprise::MultiGpuEnterpriseBfs clean(g, {}, clean_opt);
   const auto want = clean.run(source);
   ASSERT_GT(want.depth, 2);
 
   FreezeAtLevel freezer(2);
+  enterprise::EnterpriseOptions eopt;
+  eopt.checkpointer = &freezer;
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = 2;
-  opt.per_device.checkpointer = &freezer;
-  enterprise::MultiGpuEnterpriseBfs first(g, opt);
+  enterprise::MultiGpuEnterpriseBfs first(g, eopt, opt);
   (void)first.run(source);
   ASSERT_TRUE(freezer.frozen());
 
-  enterprise::MultiGpuEnterpriseBfs resumed(g, opt);
+  enterprise::MultiGpuEnterpriseBfs resumed(g, eopt, opt);
   const auto got = resumed.run(source);
   EXPECT_EQ(got.levels, want.levels);
   EXPECT_EQ(got.parents, want.parents);

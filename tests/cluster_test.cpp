@@ -100,7 +100,7 @@ TEST(ClusterLadder, ButterflyFallsBackToSurvivingRingWithoutReroute) {
   // The ring fallback store-and-forwards over the surviving butterfly
   // links, so it still costs more than the clean log-step exchange.
   sim::Interconnect clean({12.0, 10.0, {sim::TopologyKind::kButterfly}});
-  EXPECT_GT(cost, clean.exchange_ms(1 << 20, 4));
+  EXPECT_GT(cost, clean.allgather_ms(1 << 20, 4));
 }
 
 TEST(ClusterLadder, DisconnectedFabricThrowsTypedPartition) {
@@ -162,12 +162,13 @@ TEST(ClusterScale, SixtyFourDeviceButterflySurvivesLinkStorm) {
       "seed=99");
   obs::MetricsRegistry metrics;
 
+  enterprise::EnterpriseOptions eopt;
+  eopt.fault_injector = &injector;
+  eopt.metrics = &metrics;
   enterprise::MultiGpuOptions mopt;
   mopt.num_gpus = 64;
   mopt.interconnect.topology.kind = sim::TopologyKind::kButterfly;
-  mopt.per_device.fault_injector = &injector;
-  mopt.per_device.metrics = &metrics;
-  enterprise::MultiGpuEnterpriseBfs sys(g, mopt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, eopt, mopt);
 
   const auto r = sys.run(source);
   EXPECT_TRUE(bfs::validate_tree(g, g, r).ok);

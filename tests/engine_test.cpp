@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/cpu_bfs.hpp"
@@ -101,6 +104,31 @@ TEST(Engine, ConfigOptionsReachTheWrappedSystem) {
   const std::string summary = engine->options_summary();
   EXPECT_NE(summary.find("hc=off"), std::string::npos) << summary;
   EXPECT_NE(summary.find("K20"), std::string::npos) << summary;
+}
+
+// `config.enterprise` holds the one set of technique toggles: the multi-GPU
+// engine and its vertex programs run every device with it, just as the
+// single-GPU engine does.
+TEST(Engine, MultiGpuHonoursEnterpriseToggles) {
+  struct KernelLog final : obs::TraceSink {
+    std::set<std::string> seen;
+    void kernel(const obs::KernelEvent& e) override { seen.insert(e.name); }
+  };
+  const Csr g = test_graph(4);
+  for (const auto& [spec, expand] :
+       {std::pair{"multi-gpu", "Expand(Thread)"},
+        std::pair{"multi-gpu/sssp", "Relax(Thread)"}}) {
+    KernelLog names;
+    bfs::EngineConfig config;
+    config.enterprise.workload_balancing = false;
+    config.enterprise.fixed_granularity = enterprise::Granularity::kThread;
+    config.sink = &names;
+    const auto engine = bfs::make_engine(spec, g, config);
+    ASSERT_NE(engine, nullptr) << spec;
+    engine->run(connected_source(g));
+    EXPECT_TRUE(names.seen.contains(expand)) << spec;
+    EXPECT_FALSE(names.seen.contains("classify")) << spec;
+  }
 }
 
 TEST(Engine, TelemetryFlowsThroughSinkAndRegistry) {

@@ -341,7 +341,7 @@ TEST(FailSlowZeroOverhead, NonMatchingSlowRuleAddsNoSimulatedTime) {
   const Csr g = test_graph(11, 8, 4);
   enterprise::MultiGpuOptions mopt;
   mopt.num_gpus = 2;
-  enterprise::MultiGpuEnterpriseBfs clean(g, mopt);
+  enterprise::MultiGpuEnterpriseBfs clean(g, {}, mopt);
   const double clean_ms = [&] {
     clean.run(0);
     return clean.last_run_stats().total_ms;
@@ -353,8 +353,9 @@ TEST(FailSlowZeroOverhead, NonMatchingSlowRuleAddsNoSimulatedTime) {
   const auto plan = sim::FaultPlan::parse("slow@7=4;seed=1");
   ASSERT_TRUE(plan.has_value());
   sim::FaultInjector injector(*plan);
-  mopt.per_device.fault_injector = &injector;
-  enterprise::MultiGpuEnterpriseBfs armed(g, mopt);
+  enterprise::EnterpriseOptions eopt;
+  eopt.fault_injector = &injector;
+  enterprise::MultiGpuEnterpriseBfs armed(g, eopt, mopt);
   armed.run(0);
   EXPECT_EQ(armed.last_run_stats().total_ms, clean_ms);
   EXPECT_EQ(injector.slow_applications(), 0u);
@@ -449,12 +450,13 @@ LadderRun run_ladder(const Csr& g, unsigned gpus,
   sim::FaultInjector injector(*plan);
   injector.set_metrics(&out.metrics);
 
+  enterprise::EnterpriseOptions eopt;
+  eopt.fault_injector = &injector;
+  eopt.metrics = &out.metrics;
   enterprise::MultiGpuOptions mopt;
   mopt.num_gpus = gpus;
-  mopt.per_device.fault_injector = &injector;
-  mopt.per_device.metrics = &out.metrics;
   mopt.straggler = straggler;
-  enterprise::MultiGpuEnterpriseBfs sys(g, mopt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, eopt, mopt);
 
   const auto srcs = bfs::sample_sources(g, sources, 17);
   for (vertex_t s : srcs) {

@@ -33,7 +33,7 @@ TEST_P(MultiGpuCorrectness, MatchesCpuReference) {
   const Csr g = scaling_kron(11, 8, 1);
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = GetParam();
-  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, {}, opt);
   for (vertex_t s : {vertex_t{0}, vertex_t{33}}) {
     if (g.out_degree(s) == 0) continue;
     const auto got = sys.run(s);
@@ -52,7 +52,7 @@ TEST(MultiGpu, PartitionCoversVertexSpace) {
   const Csr g = scaling_kron(10, 8, 2);
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = 4;
-  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, {}, opt);
   EXPECT_TRUE(graph::covers_all(sys.partition(), g.num_vertices()));
 }
 
@@ -60,7 +60,7 @@ TEST(MultiGpu, CommunicationTrackedAndCompressed) {
   const Csr g = scaling_kron(11, 8, 3);
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = 4;
-  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, {}, opt);
   sys.run(0);
   const auto& stats = sys.last_run_stats();
   EXPECT_GT(stats.comm_ms, 0.0);
@@ -75,7 +75,7 @@ TEST(MultiGpu, SingleGpuHasNoCommunication) {
   const Csr g = scaling_kron(10, 8, 4);
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = 1;
-  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, {}, opt);
   sys.run(0);
   EXPECT_DOUBLE_EQ(sys.last_run_stats().comm_ms, 0.0);
 }
@@ -87,10 +87,11 @@ TEST(MultiGpu, StrongScalingSpeedsUpButSubLinearly) {
   double t2 = 0.0;
   double t8 = 0.0;
   for (unsigned gpus : {1u, 2u, 8u}) {
+    enterprise::EnterpriseOptions eopt;
+    eopt.device = sim::k40_sim();
     enterprise::MultiGpuOptions opt;
     opt.num_gpus = gpus;
-    opt.per_device.device = sim::k40_sim();
-    enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+    enterprise::MultiGpuEnterpriseBfs sys(g, eopt, opt);
     const double t = sys.run(bfs::sample_sources(g, 1, 5).at(0)).time_ms;
     if (gpus == 1) t1 = t;
     if (gpus == 2) t2 = t;
@@ -111,12 +112,13 @@ TEST(MultiGpu, FixedGranularityIsHonoured) {
   };
   const Csr g = scaling_kron(10, 8, 5);
   KernelLog names;
+  enterprise::EnterpriseOptions eopt;
+  eopt.workload_balancing = false;
+  eopt.fixed_granularity = enterprise::Granularity::kThread;
+  eopt.sink = &names;
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = 2;
-  opt.per_device.workload_balancing = false;
-  opt.per_device.fixed_granularity = enterprise::Granularity::kThread;
-  opt.per_device.sink = &names;
-  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  enterprise::MultiGpuEnterpriseBfs sys(g, eopt, opt);
   vertex_t source = 0;
   while (g.out_degree(source) == 0) ++source;
   const auto got = sys.run(source);
@@ -133,7 +135,7 @@ TEST(MultiGpu, RejectsDirectedGraphs) {
   p.edge_factor = 4;
   const Csr g = graph::generate_rmat(p);
   enterprise::MultiGpuOptions opt;
-  EXPECT_DEATH(enterprise::MultiGpuEnterpriseBfs(g, opt), "undirected");
+  EXPECT_DEATH(enterprise::MultiGpuEnterpriseBfs(g, {}, opt), "undirected");
 }
 
 }  // namespace

@@ -496,9 +496,7 @@ TEST(KernelEquivalence, StatusArrayMatchesQueueExpansion) {
   std::vector<vertex_t> pb(g.num_vertices(), graph::kInvalidVertex);
   b.visit(source, 0);
   sim::KernelRecord r2;
-  enterprise::expand_status_top_down(g, b, pb,
-                                     enterprise::Granularity::kCta, 1,
-                                     dev.memory(), r2);
+  enterprise::expand_status_top_down(g, b, pb, 1, dev.memory(), r2);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.level(v), b.level(v)) << v;
   }

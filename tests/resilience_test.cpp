@@ -402,6 +402,31 @@ TEST(ResilientEngine, CascadesToHostWhenEveryDeviceIsLost) {
   EXPECT_EQ(resilient->last_run_stats().degraded_runs, 1u);
 }
 
+// A lost device stays lost: once a run has fallen back, later runs start on
+// the fallback and say so, rather than carrying the primary's name.
+TEST(ResilientEngine, LaterRunsNameTheirFallback) {
+  const Csr g = test_graph(3);
+  const auto plan = sim::FaultPlan::parse("device-lost@device=0");
+  ASSERT_TRUE(plan.has_value());
+  sim::FaultInjector injector(*plan);
+  bfs::EngineConfig config;
+  config.fault_injector = &injector;
+  const auto engine = bfs::make_engine("resilient:enterprise", g, config);
+  ASSERT_NE(engine, nullptr);
+  const auto bl = bfs::make_engine("bl", g);
+
+  for (const vertex_t source : bfs::sample_sources(g, 3, 5)) {
+    const auto r = engine->run(source);
+    EXPECT_EQ(r.completed_by, "bl") << source;
+    EXPECT_TRUE(r.degraded) << source;
+    EXPECT_DOUBLE_EQ(r.time_ms, bl->run(source).time_ms) << source;
+  }
+  const auto* resilient =
+      dynamic_cast<const bfs::ResilientEngine*>(engine.get());
+  ASSERT_NE(resilient, nullptr);
+  EXPECT_EQ(resilient->session_stats().degraded_runs, 3u);
+}
+
 TEST(ResilientEngine, ExhaustionFailsLoudlyWithTypedError) {
   const Csr g = test_graph(4);
   const vertex_t source = connected_source(g);

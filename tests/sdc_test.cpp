@@ -130,7 +130,6 @@ FlipRunOutcome run_with_flips(const std::string& engine_name, Csr& g,
   config.fault_injector = &injector;
   config.integrity.audit = audit;
   config.integrity.scrub_interval = scrub_interval;
-  config.multi_gpu.per_device.integrity = config.integrity;
   const auto engine = bfs::make_engine(engine_name, g, config);
   EXPECT_NE(engine, nullptr) << engine_name;
   FlipRunOutcome out;

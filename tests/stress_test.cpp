@@ -137,13 +137,13 @@ TEST_P(MultiGpuStress, RandomUndirectedConfigMatchesReference) {
 
   enterprise::MultiGpuOptions opt;
   opt.num_gpus = static_cast<unsigned>(1 + rng.next_below(8));
-  opt.per_device = random_options(rng);
+  enterprise::EnterpriseOptions eopt = random_options(rng);
   opt.partition = rng.next_below(2) == 0
                       ? enterprise::PartitionPolicy::kEqualVertices
                       : enterprise::PartitionPolicy::kEqualEdges;
   // The multi-GPU driver has no single-kernel path for switch-back.
-  opt.per_device.switch_back_beta = 0.0;
-  enterprise::MultiGpuEnterpriseBfs sys(g, opt);
+  eopt.switch_back_beta = 0.0;
+  enterprise::MultiGpuEnterpriseBfs sys(g, eopt, opt);
 
   const auto s = bfs::sample_sources(g, 1, rng.next()).at(0);
   const auto got = sys.run(s);

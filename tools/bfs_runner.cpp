@@ -64,7 +64,6 @@ bfs::EngineConfig config_from(const Args& args, obs::TraceSink* sink,
   config.enterprise.direction.use_gamma = !args.get_bool("alpha-policy", false);
   config.multi_gpu.num_gpus =
       static_cast<unsigned>(args.get_int("gpus", 2));
-  config.multi_gpu.per_device = config.enterprise;
   // Fail-slow straggler detection: --straggler-k arms the detector (the
   // value is the EWMA-vs-surviving-median threshold); the rung toggles
   // leave detection on but turn individual mitigations off.
@@ -290,7 +289,6 @@ int main(int argc, char** argv) {
   config.integrity.audit = *audit_mode;
   config.integrity.scrub_interval =
       static_cast<std::uint32_t>(args.get_int("scrub-interval", 0));
-  config.multi_gpu.per_device.integrity = config.integrity;
 
   std::optional<sim::FaultInjector> injector;
   const std::string fault_spec = args.get("fault-plan", "");
