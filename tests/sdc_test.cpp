@@ -3,13 +3,16 @@
 // drivers, the detection-coverage sweep the subsystem is accountable to
 // (>=99% of injected single-bit flips across status/frontier/adjacency
 // detected before a report is emitted, `missed` as ground truth), a status
-// flip that must reach the top-down queue, the zero-overhead contract with
-// everything off, and recovery through resilient:enterprise.
+// flip that must reach the top-down queue, a frontier flip that the level's
+// α and γ must read, the zero-overhead contract with everything off, and
+// recovery through resilient:enterprise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace_sink.hpp"
+#include "util/pool.hpp"
 
 namespace ent {
 namespace {
@@ -260,6 +264,67 @@ TEST(StatusFlip, FlipToALaterLevelJoinsThatLevelsQueue) {
   ASSERT_GT(flipped.level_trace.size(), 3u);
   EXPECT_EQ(flipped.level_trace[3].frontier_count,
             clean.level_trace[3].frontier_count + 1);
+}
+
+// A frontier flip at a level top rewrites a queue entry after the queue was
+// built, so α and γ must read the queue as the flip left it. Bit 1 of the
+// level-1 queue's first entry turns a plain vertex into a hub: α and γ both
+// move, the run still switches at level 1, and the tree changes.
+TEST(FrontierFlip, AlphaAndGammaReadTheFlippedQueue) {
+  graph::KroneckerParams p;
+  p.scale = 12;
+  p.edge_factor = 16;
+  p.seed = 5;
+  const Csr g = graph::generate_kronecker(p);
+  const vertex_t source = connected_source(g);
+  struct Level {
+    bfs::Direction direction;
+    std::uint64_t alpha_bits;
+    std::uint64_t gamma_bits;
+  };
+  constexpr bfs::Direction kTd = bfs::Direction::kTopDown;
+  constexpr bfs::Direction kBu = bfs::Direction::kBottomUp;
+  const std::vector<Level> pinned{
+      {kTd, 0x4054ebf36838ffd6ull, 0x4019000000000000ull},
+      {kBu, 0x3fd88fa95a3e4cafull, 0x4059000000000000ull},
+      {kBu, 0, 0},
+      {kBu, 0, 0},
+  };
+  const bfs::BfsResult clean =
+      bfs::make_engine("enterprise", g, {})->run(source);
+  ASSERT_GT(clean.level_trace.size(), 1u);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    util::ScopedHostPool pool(threads);
+    const auto plan = sim::FaultPlan::parse(
+        "flip@target=frontier,level=1,offset=0,bit=1;seed=7");
+    ASSERT_TRUE(plan.has_value());
+    sim::FaultInjector injector(*plan);
+    bfs::EngineConfig config;
+    config.fault_injector = &injector;
+    config.integrity.audit = bfs::AuditMode::kOff;
+    config.integrity.scrub_interval = 0;
+    const bfs::BfsResult flipped =
+        bfs::make_engine("enterprise", g, config)->run(source);
+    EXPECT_EQ(injector.flips_injected(), 1u);
+    ASSERT_EQ(flipped.level_trace.size(), pinned.size());
+    for (std::size_t l = 0; l < pinned.size(); ++l) {
+      SCOPED_TRACE(::testing::Message() << "level " << l);
+      const bfs::LevelTrace& t = flipped.level_trace[l];
+      EXPECT_EQ(t.direction, pinned[l].direction);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(t.alpha), pinned[l].alpha_bits)
+          << t.alpha;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(t.gamma), pinned[l].gamma_bits)
+          << t.gamma;
+    }
+    EXPECT_EQ(graph::fnv1a64(std::as_bytes(std::span(flipped.parents)),
+                             graph::fnv1a64(std::as_bytes(
+                                 std::span(flipped.levels)))),
+              0x01c23cc614e13cb7ull);
+    // The flip is what moved level 1's indicators.
+    EXPECT_NE(flipped.level_trace[1].alpha, clean.level_trace[1].alpha);
+    EXPECT_NE(flipped.level_trace[1].gamma, clean.level_trace[1].gamma);
+  }
 }
 
 // --- zero overhead when off ------------------------------------------------
