@@ -48,10 +48,12 @@ void BM_TopDownHarvest(benchmark::State& state) {
     if (sa.level(v) == 3) frontier.push_back(v);
   }
   BitArray discovered(n);
+  std::vector<graph::vertex_t> queue;
   for (auto _ : state) {
     for (graph::vertex_t v : frontier) discovered.set(v);
     sim::KernelRecord rec;
-    benchmark::DoNotOptimize(gen.harvest(discovered, rec));
+    gen.harvest(discovered, queue, rec);
+    benchmark::DoNotOptimize(queue);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }

@@ -81,9 +81,9 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
 
     sim::KernelRecord rec;
     rec.name = bottom_up ? "SA-bottom-up" : "SA-top-down";
-    const enterprise::ExpandOutput out =
+    const enterprise::StatusExpandOutput out =
         bottom_up ? enterprise::expand_status_bottom_up(
-                        *in_edges_, status, parents, level + 1,
+                        g, *in_edges_, status, parents, level + 1,
                         device_->memory(), rec)
                   : enterprise::expand_status_top_down(
                         g, status, parents, level + 1, device_->memory(), rec);
@@ -95,13 +95,10 @@ bfs::BfsResult StatusArrayBfs::run(vertex_t source) {
 
     prev_frontier_count = frontier_count;
     frontier_count = out.newly_visited;
-    // The vertices just marked level + 1 are the next frontier: one walk
-    // gives both its m_f and its share of m_u.
+    // The vertices just marked level + 1 are the next frontier: the kernel's
+    // sum of their out-degrees is both its m_f and its share of m_u.
     if (out.newly_visited > 0) {
-      m_f = 0;
-      for (vertex_t v = 0; v < n; ++v) {
-        if (status.level(v) == level + 1) m_f += g.out_degree(v);
-      }
+      m_f = out.visited_out_degrees;
       visited_degree_sum += m_f;
     }
     trace.total_ms = device_->elapsed_ms() - level_start;

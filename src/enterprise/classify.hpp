@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,23 +34,29 @@ Granularity classify_degree(graph::edge_t degree,
 
 struct ClassifiedQueues {
   std::array<std::vector<graph::vertex_t>, 4> queues;  // index by Granularity
+  // Set when every entry of a non-empty frontier falls into one class. The
+  // queues then stay empty: the frontier itself is that class's queue.
+  std::optional<Granularity> uniform;
 
-  std::vector<graph::vertex_t>& of(Granularity g) {
+  // Class `g` of `frontier`, the queue these classes were made from.
+  std::span<const graph::vertex_t> of(
+      Granularity g, std::span<const graph::vertex_t> frontier) const {
+    if (uniform.has_value()) {
+      return *uniform == g ? frontier : std::span<const graph::vertex_t>{};
+    }
     return queues[static_cast<std::size_t>(g)];
   }
-  const std::vector<graph::vertex_t>& of(Granularity g) const {
-    return queues[static_cast<std::size_t>(g)];
-  }
-  std::size_t total() const;
 };
 
-// Splits `frontier` into the four queues. The degree lookups this performs
-// on the GPU happen during bin scatter, so the cost (sequential row-offset
-// loads + queue stores) is charged to `record`.
-ClassifiedQueues classify_frontiers(const graph::Csr& g,
-                                    std::span<const graph::vertex_t> frontier,
-                                    const sim::MemoryModel& mm,
-                                    sim::KernelRecord& record,
-                                    const ClassifyThresholds& t = {});
+// Splits `frontier` into the four queues of `out`, whose storage is reused.
+// A frontier of one class is not copied (ClassifiedQueues::uniform). The
+// degree lookups this performs on the GPU happen during bin scatter, so the
+// cost (sequential row-offset loads + queue stores) is charged to `record`,
+// for the whole frontier either way.
+void classify_frontiers(const graph::Csr& g,
+                        std::span<const graph::vertex_t> frontier,
+                        const sim::MemoryModel& mm, sim::KernelRecord& record,
+                        ClassifiedQueues& out,
+                        const ClassifyThresholds& t = {});
 
 }  // namespace ent::enterprise

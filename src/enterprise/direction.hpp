@@ -30,8 +30,12 @@ struct DirectionPolicy {
 double compute_alpha(graph::edge_t unexplored_edges,
                      graph::edge_t frontier_edges);
 
-// gamma over an explicit frontier queue: percentage of the graph's hub
-// vertices that sit in the queue.
+// gamma: percentage of the graph's hub vertices that sit in the frontier
+// queue, from the count of hubs found there.
+double compute_gamma(graph::vertex_t hubs_in_frontier,
+                     graph::vertex_t total_hubs);
+
+// The same over an explicit frontier queue.
 double compute_gamma(std::span<const graph::vertex_t> frontier,
                      const std::vector<std::uint8_t>& hub_flags,
                      graph::vertex_t total_hubs);

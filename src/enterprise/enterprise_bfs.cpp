@@ -165,6 +165,10 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   result.source = source;
 
   std::vector<vertex_t> queue{source};
+  // Each harvest fills this buffer, which then swaps with `queue`: both keep
+  // their storage for the run, and `queue` its address, which the shard
+  // holds.
+  std::vector<vertex_t> harvested;
   bool bottom_up = false;
   bool switched = false;
   // Order of the bottom-up queue: sorted with the chunked switch scan,
@@ -208,16 +212,28 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   BitArray discovered_bits(loop.flips_armed() ? 0 : n);
   BitArray* const discovered = loop.flips_armed() ? nullptr : &discovered_bits;
 
-  const auto sum_out_degrees = [&](std::span<const vertex_t> q) {
-    edge_t sum = 0;
-    // The bounds guard never fires on valid data; it keeps an injected
-    // frontier flip from indexing past the degree table before the audit
-    // pass flags it.
-    for (vertex_t v : q) {
-      if (v < n) sum += g.out_degree(v);
-    }
-    return sum;
+  // A top-down queue's out-degree sum (m_f, and its share of the visited
+  // degrees) and hub count (γ's F_h), from one walk. Each top-down queue is
+  // walked once, when it is built, and the result carried to its level top,
+  // unless a flip can rewrite its entries there.
+  struct QueueStats {
+    edge_t out_degrees = 0;
+    vertex_t hubs = 0;
   };
+  const std::uint8_t* const hub_flags = hubs_->flags.data();
+  const auto walk = [&](std::span<const vertex_t> q) {
+    QueueStats stats;
+    // The bounds guard never fires on valid data; it keeps an injected
+    // frontier flip from indexing past the degree and flag tables before
+    // the audit pass flags it.
+    for (vertex_t v : q) {
+      if (v >= n) continue;
+      stats.out_degrees += g.out_degree(v);
+      stats.hubs += hub_flags[v] != 0 ? 1 : 0;
+    }
+    return stats;
+  };
+  QueueStats queue_stats = walk(queue);
 
   obs::TraceSink* const sink = options_.sink;
   obs::MetricsRegistry* const metrics = options_.metrics;
@@ -228,12 +244,17 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     loop.level_top(level, queue.size(), now_ms(), {&shard, 1}, bottom_up);
     bfs::LevelTrace trace;
     trace.level = level;
+    // A level lists classify, its class kernels and the next queue's
+    // generation: one allocation holds the usual four.
+    trace.kernels.reserve(4);
     const double level_start_ms = now_ms();
 
     if (!bottom_up) {
-      const edge_t m_f = sum_out_degrees(queue);
-      trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = compute_gamma(queue, hubs_->flags, hubs_->count);
+      // The level-top flip pass may have rewritten queue entries.
+      if (loop.flips_armed()) queue_stats = walk(queue);
+      trace.alpha = compute_alpha(total_edges - visited_degree_sum,
+                                  queue_stats.out_degrees);
+      trace.gamma = compute_gamma(queue_stats.hubs, hubs_->count);
       if (options_.allow_direction_switch && !switched && level > 0 &&
           should_switch_to_bottom_up(options_.direction, trace.alpha,
                                      trace.gamma,
@@ -326,9 +347,14 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     if (!bottom_up) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
-      queue = discovered != nullptr ? gen.harvest(*discovered, qrec)
-                                    : gen.top_down(status, next_level, qrec);
-      visited_degree_sum += sum_out_degrees(queue);
+      if (discovered != nullptr) {
+        gen.harvest(*discovered, harvested, qrec);
+        queue.swap(harvested);
+      } else {
+        queue = gen.top_down(status, next_level, qrec);
+      }
+      queue_stats = walk(queue);
+      visited_degree_sum += queue_stats.out_degrees;
       trace.queue_gen_ms += launch(*device_, std::move(qrec), trace, sink,
                                    "queue_gen", queue.size());
     } else {

@@ -191,9 +191,10 @@ std::vector<vertex_t> FrontierQueueGenerator::top_down(
   return queue;
 }
 
-std::vector<vertex_t> FrontierQueueGenerator::harvest(
-    BitArray& discovered, sim::KernelRecord& record) const {
-  std::vector<vertex_t> queue;
+void FrontierQueueGenerator::harvest(BitArray& discovered,
+                                     std::vector<vertex_t>& queue,
+                                     sim::KernelRecord& record) const {
+  queue.clear();
   const std::span<std::uint64_t> words = discovered.words();
   for (std::size_t i = 0; i < words.size(); ++i) {
     std::uint64_t word = words[i];
@@ -207,7 +208,6 @@ std::vector<vertex_t> FrontierQueueGenerator::harvest(
   // The device still scans every status: the charge is top_down's.
   charge_scan(record, discovered.size(), queue.size(),
               AccessPattern::kSequential);
-  return queue;
 }
 
 std::vector<vertex_t> FrontierQueueGenerator::direction_switch(

@@ -20,8 +20,9 @@
 // cache is rebuilt during frontier queue generation).
 //
 // The device always runs the full top-down scan. The host can skip it:
-// `harvest` lists the expansion's discoveries from a bitmap and charges the
-// same scan, so the priced kernel does not change.
+// `harvest` lists the expansion's discoveries from a bitmap into a buffer
+// the driver reuses, and charges the same scan, so the priced kernel does
+// not change.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +64,13 @@ class FrontierQueueGenerator {
                                         graph::vertex_t end,
                                         sim::KernelRecord& record) const;
 
-  // The top-down queue from the expansion's discovery bitmap: the set bits
-  // in ascending order, cleared on the way. When the bits are exactly the
-  // vertices at `level`, queue and charge equal top_down(status, level,
-  // record), with one bit per status. The host walk is O(n/64 + queue).
-  std::vector<graph::vertex_t> harvest(BitArray& discovered,
-                                       sim::KernelRecord& record) const;
+  // The top-down queue from the expansion's discovery bitmap, written over
+  // `queue`, whose storage is reused: the set bits in ascending order,
+  // cleared on the way. When the bits are exactly the vertices at `level`,
+  // queue and charge equal top_down(status, level, record), with one bit
+  // per status. The host walk is O(n/64 + queue).
+  void harvest(BitArray& discovered, std::vector<graph::vertex_t>& queue,
+               sim::KernelRecord& record) const;
 
   // Queue of unvisited vertices, ascending order (chunked scan). Refills
   // the hub cache with hubs at refill.just_visited_level when provided.

@@ -306,12 +306,13 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
   return out;
 }
 
-ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
-                                    std::vector<vertex_t>& parents,
-                                    std::int32_t next_level,
-                                    const sim::MemoryModel& mm,
-                                    sim::KernelRecord& record) {
-  ExpandOutput out;
+StatusExpandOutput expand_status_top_down(const graph::Csr& g,
+                                          StatusArray& status,
+                                          std::vector<vertex_t>& parents,
+                                          std::int32_t next_level,
+                                          const sim::MemoryModel& mm,
+                                          sim::KernelRecord& record) {
+  StatusExpandOutput out;
   MemTally tally;
   const vertex_t n = g.num_vertices();
   const std::int32_t frontier_level = next_level - 1;
@@ -328,6 +329,7 @@ ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
           status.visit(w, next_level);
           parents[w] = v;
           ++visited_here;
+          out.visited_out_degrees += g.out_degree(w);
         }
       }
     }
@@ -351,13 +353,14 @@ ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
   return out;
 }
 
-ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
-                                     StatusArray& status,
-                                     std::vector<vertex_t>& parents,
-                                     std::int32_t next_level,
-                                     const sim::MemoryModel& mm,
-                                     sim::KernelRecord& record) {
-  ExpandOutput out;
+StatusExpandOutput expand_status_bottom_up(const graph::Csr& g,
+                                           const graph::Csr& in_edges,
+                                           StatusArray& status,
+                                           std::vector<vertex_t>& parents,
+                                           std::int32_t next_level,
+                                           const sim::MemoryModel& mm,
+                                           sim::KernelRecord& record) {
+  StatusExpandOutput out;
   MemTally tally;
   const vertex_t n = in_edges.num_vertices();
 
@@ -373,6 +376,7 @@ ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
           status.visit(v, next_level);
           parents[v] = u;
           adopted = true;
+          out.visited_out_degrees += g.out_degree(v);
           break;
         }
       }
@@ -420,12 +424,12 @@ double launch(sim::Device& dev, sim::KernelRecord rec, bfs::LevelTrace& trace,
   return ms;
 }
 
-double launch_group(sim::Device& dev, std::vector<sim::KernelRecord> recs,
+double launch_group(sim::Device& dev, std::span<sim::KernelRecord> recs,
                     std::span<const std::uint64_t> items,
                     bfs::LevelTrace& trace, obs::TraceSink* sink,
                     const char* phase) {
   const double start_ms = dev.elapsed_ms();
-  const double ms = dev.run_concurrent(std::move(recs));
+  const double ms = dev.run_concurrent(recs);
   // The members' standalone times are the device timeline's tail.
   const auto members = dev.timeline().last(items.size());
   for (std::size_t i = 0; i < members.size(); ++i) {

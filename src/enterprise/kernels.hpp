@@ -77,24 +77,28 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
 
 // --- status-array based (baseline) -------------------------------------------
 
+// A status-array launch's output, with the out-degree sum of the vertices it
+// visited: the next frontier's m_f, with no second walk over the statuses.
+struct StatusExpandOutput : ExpandOutput {
+  graph::edge_t visited_out_degrees = 0;
+};
+
 // One CTA per vertex; only CTAs whose vertex has status == next_level - 1
 // expand. Each CTA issues one uncoalesced status read and burns 8 warps of
 // issue slots per vertex, which is what the paper's baseline pays for fast
 // per-frontier expansion.
-ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
-                                    std::vector<graph::vertex_t>& parents,
-                                    std::int32_t next_level,
-                                    const sim::MemoryModel& mm,
-                                    sim::KernelRecord& record);
+StatusExpandOutput expand_status_top_down(
+    const graph::Csr& g, StatusArray& status,
+    std::vector<graph::vertex_t>& parents, std::int32_t next_level,
+    const sim::MemoryModel& mm, sim::KernelRecord& record);
 
-// One CTA per vertex; unvisited vertices scan in-neighbors with early exit,
-// the rest idle.
-ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
-                                     StatusArray& status,
-                                     std::vector<graph::vertex_t>& parents,
-                                     std::int32_t next_level,
-                                     const sim::MemoryModel& mm,
-                                     sim::KernelRecord& record);
+// One CTA per vertex; unvisited vertices scan in-neighbors (`in_edges`)
+// with early exit, the rest idle. Visited vertices count their out-degree
+// in `g`, which differs from `in_edges` on a directed graph.
+StatusExpandOutput expand_status_bottom_up(
+    const graph::Csr& g, const graph::Csr& in_edges, StatusArray& status,
+    std::vector<graph::vertex_t>& parents, std::int32_t next_level,
+    const sim::MemoryModel& mm, sim::KernelRecord& record);
 
 // --- shared helpers -----------------------------------------------------------
 
@@ -123,8 +127,8 @@ double launch(sim::Device& dev, sim::KernelRecord rec, bfs::LevelTrace& trace,
 
 // The same for a Hyper-Q group whose first member is the classify kernel;
 // `items[i]` is member i's frontier count. Each member keeps its standalone
-// time (the Fig. 8 timeline).
-double launch_group(sim::Device& dev, std::vector<sim::KernelRecord> recs,
+// time (the Fig. 8 timeline). The records move into the device timeline.
+double launch_group(sim::Device& dev, std::span<sim::KernelRecord> recs,
                     std::span<const std::uint64_t> items,
                     bfs::LevelTrace& trace, obs::TraceSink* sink,
                     const char* phase);

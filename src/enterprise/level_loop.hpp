@@ -4,7 +4,13 @@
 // workload-balancing step (§4.2's classify-and-expand, `dispatch`), at each
 // BFS level end and after the loop. The drivers differ only in the expand
 // step they hand to `dispatch`. With nothing attached each check is a few
-// predictable branches: no allocation, no strings.
+// predictable branches: no allocation, no strings. The loop lives for one
+// run and owns dispatch's scratch for it: the four class queues, the
+// Hyper-Q group's records and their frontier counts. Once those have grown
+// to the run's widest level a dispatch allocates nothing, so a steady-state
+// level allocates only for its LevelTrace: the kernel list, and each kernel
+// name too long for the small-string buffer (`queue_gen(top-down)`), in the
+// trace and in the device timeline. Nothing is kept between runs.
 #pragma once
 
 #include <array>
@@ -126,11 +132,14 @@ class LevelLoop {
   // class; the classify kernel and the class kernels then run as one Hyper-Q
   // group. Classification happens alongside queue generation (each scan
   // thread routes a frontier into one of four bins by out-degree), so it
-  // joins the group rather than paying a separate launch. With WB off, one
-  // kernel expands the whole queue at `fixed_granularity` (the paper's
-  // TS-only setup uses CTA, like the BL baseline). With a `trace` the
-  // kernels are listed in it, stream their spans and count the class sizes
-  // into enterprise.queue.<granularity>; a null `trace` only prices them.
+  // joins the group rather than paying a separate launch. The class queues
+  // and the group's records are the loop's own buffers, reused at every
+  // call; a queue whose frontiers all fall into one class is expanded in
+  // place, with classify still priced on all of it. With WB off, one kernel
+  // expands the whole queue at `fixed_granularity` (the paper's TS-only
+  // setup uses CTA, like the BL baseline). With a `trace` the kernels are
+  // listed in it, stream their spans and count the class sizes into
+  // enterprise.queue.<granularity>; a null `trace` only prices them.
   template <std::invocable<std::span<const graph::vertex_t>, Granularity,
                            sim::KernelRecord&>
                 Expand>
@@ -157,29 +166,26 @@ class LevelLoop {
                      : dev.run_kernel(std::move(rec));
       return total;
     }
-    sim::KernelRecord crec;
+    recs_.clear();
+    items_.clear();
+    sim::KernelRecord& crec = recs_.emplace_back();
     crec.name = "classify";
-    const ClassifiedQueues classified =
-        classify_frontiers(g, queue, dev.memory(), crec);
-    std::vector<sim::KernelRecord> recs;
-    recs.push_back(std::move(crec));
-    // Parallel to `recs`: the frontier count behind each kernel.
-    std::vector<std::uint64_t> items{queue.size()};
+    classify_frontiers(g, queue, dev.memory(), crec, classes_);
+    items_.push_back(queue.size());
     for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
                              Granularity::kCta, Granularity::kGrid}) {
-      const std::vector<graph::vertex_t>& sub = classified.of(gran);
+      const std::span<const graph::vertex_t> sub = classes_.of(gran, queue);
       if (trace != nullptr) count_queue(gran, sub.size());
       if (sub.empty()) continue;
-      sim::KernelRecord rec;
-      rec.name = std::string(names.prefix) + to_string(gran);
+      sim::KernelRecord& rec = recs_.emplace_back();
+      rec.name.assign(names.prefix).append(to_string(gran));
       run(sub, gran, rec);
-      recs.push_back(std::move(rec));
-      items.push_back(sub.size());
+      items_.push_back(sub.size());
     }
     total.ms = trace != nullptr
-                   ? launch_group(dev, std::move(recs), items, *trace,
-                                  options_.sink, names.phase)
-                   : dev.run_concurrent(std::move(recs));
+                   ? launch_group(dev, recs_, items_, *trace, options_.sink,
+                                  names.phase)
+                   : dev.run_concurrent(recs_);
     return total;
   }
 
@@ -244,6 +250,11 @@ class LevelLoop {
   std::array<obs::Counter*, 4> queue_counters_{};  // by Granularity
   obs::Counter* hub_probes_ = nullptr;
   obs::Counter* hub_hits_ = nullptr;
+  // dispatch's scratch: the class queues, the Hyper-Q group's records and,
+  // parallel to them, the frontier count behind each kernel.
+  ClassifiedQueues classes_;
+  std::vector<sim::KernelRecord> recs_;
+  std::vector<std::uint64_t> items_;
 };
 
 // Load-time segment digests for the scrub pass; empty when scrubbing is off.

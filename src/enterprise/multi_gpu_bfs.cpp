@@ -244,10 +244,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         }
       }
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = hubs_->count == 0
-                        ? 0.0
-                        : 100.0 * static_cast<double>(hub_in_queue) /
-                              static_cast<double>(hubs_->count);
+      trace.gamma = compute_gamma(hub_in_queue, hubs_->count);
       if (should_switch_to_bottom_up(eopt.direction, trace.alpha,
                                      trace.gamma)) {
         bottom_up = true;

@@ -29,7 +29,7 @@ double Device::run_kernel(KernelRecord record) {
   return t;
 }
 
-double Device::run_concurrent(std::vector<KernelRecord> records) {
+double Device::run_concurrent(std::span<KernelRecord> records) {
   if (injector_ != nullptr) {
     // Each group member is a launch; a fault on any member aborts the whole
     // Hyper-Q group before anything is priced or retired.

@@ -34,8 +34,9 @@ class Device {
 
   // Price and retire a Hyper-Q concurrent group; the clock advances by the
   // overlapped group time while each member keeps its standalone time for
-  // timeline reporting. Returns the group time in ms.
-  double run_concurrent(std::vector<KernelRecord> records);
+  // timeline reporting. Returns the group time in ms. The records are moved
+  // into the timeline, so the caller can reuse their storage.
+  double run_concurrent(std::span<KernelRecord> records);
 
   // Simulated time since construction/reset.
   double elapsed_ms() const { return elapsed_ms_; }

@@ -17,14 +17,6 @@ void KernelRecord::add(const KernelRecord& other) {
   time_ms += other.time_ms;
 }
 
-void WarpAccumulator::add_thread(std::uint64_t work_cycles) {
-  current_max_ = std::max(current_max_, work_cycles);
-  thread_cycles_ += work_cycles;
-  ++threads_;
-  if (work_cycles > 0) ++active_threads_;
-  if (++lane_ == warp_size_) finish();
-}
-
 void WarpAccumulator::add_threads(std::uint64_t count,
                                   std::uint64_t work_cycles) {
   if (count == 0) return;

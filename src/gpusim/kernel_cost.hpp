@@ -20,6 +20,7 @@
 // overlapping" of Thread/Warp/CTA kernels in Fig. 8.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -59,7 +60,15 @@ class WarpAccumulator {
  public:
   explicit WarpAccumulator(unsigned warp_size) : warp_size_(warp_size) {}
 
-  void add_thread(std::uint64_t work_cycles);
+  // One thread's work. Every expansion kernel calls this once per
+  // Thread-granularity frontier, so it is inline.
+  void add_thread(std::uint64_t work_cycles) {
+    current_max_ = std::max(current_max_, work_cycles);
+    thread_cycles_ += work_cycles;
+    ++threads_;
+    if (work_cycles > 0) ++active_threads_;
+    if (++lane_ == warp_size_) finish();
+  }
   // Same totals as `count` add_thread(work_cycles) calls, in O(1): a uniform
   // launch costs host time per distinct work item, not per thread.
   void add_threads(std::uint64_t count, std::uint64_t work_cycles);
