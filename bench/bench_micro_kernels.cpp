@@ -144,6 +144,7 @@ void BM_ClassifyRoadFrontiers(benchmark::State& state) {
       sim::KernelRecord rec;
       enterprise::classify_frontiers(g, frontier, dev.memory(), rec, classes);
       benchmark::DoNotOptimize(classes);
+      benchmark::ClobberMemory();
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -53,7 +53,8 @@ void BM_TopDownHarvest(benchmark::State& state) {
     for (graph::vertex_t v : frontier) discovered.set(v);
     sim::KernelRecord rec;
     gen.harvest(discovered, queue, rec);
-    benchmark::DoNotOptimize(queue);
+    benchmark::DoNotOptimize(queue.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
