@@ -36,23 +36,17 @@ Granularity classify_degree(graph::edge_t degree,
   return Granularity::kThread;
 }
 
+std::size_t ClassifiedQueues::total() const {
+  std::size_t sum = 0;
+  for (const auto& q : queues) sum += q.size();
+  return sum;
+}
+
 void classify_frontiers(const graph::Csr& g,
                         std::span<const graph::vertex_t> frontier,
                         const sim::MemoryModel& mm, sim::KernelRecord& record,
                         ClassifiedQueues& out, const ClassifyThresholds& t) {
   using graph::vertex_t;
-  // Cost: one balanced pass over the frontier — load vertex id + two row
-  // offsets (degree), store into one of four bins.
-  sim::WarpAccumulator acc(mm.spec().warp_size);
-  acc.add_threads(frontier.size(), kScanCycles + kBinWriteCycles);
-  acc.charge(record);
-  mm.record_load(record.mem, sim::AccessPattern::kSequential, frontier.size(),
-                 sizeof(graph::vertex_t));
-  mm.record_load(record.mem, sim::AccessPattern::kStrided, frontier.size(),
-                 sizeof(graph::edge_t) * 2);  // row offsets of each frontier
-  mm.record_store(record.mem, sim::AccessPattern::kSequential, frontier.size(),
-                  sizeof(graph::vertex_t));
-
   const vertex_t n = g.num_vertices();
   const graph::edge_t* const rows = g.row_offsets().data();
   // An injected flip can push a queue entry out of range; classify it as
@@ -62,24 +56,14 @@ void classify_frontiers(const graph::Csr& g,
     return static_cast<std::size_t>(
         classify_degree(v < n ? rows[v + 1] - rows[v] : 0, t));
   };
-  for (auto& q : out.queues) q.clear();
-  out.uniform.reset();
-  const std::size_t count = frontier.size();
-  // A frontier of one class stays where it is.
-  const std::size_t lead = count == 0 ? 0 : class_of(frontier[0]);
-  std::size_t run = 0;
-  while (run < count && class_of(frontier[run]) == lead) ++run;
-  if (count != 0 && run == count) {
-    out.uniform = static_cast<Granularity>(lead);
-    return;
-  }
   // Each block sorts its entries into the four classes, stably; each class
   // then concatenates the blocks' shares in block order, so it keeps the
   // frontier's order. Block 0 writes straight into the classes. A later
   // block writes class c into its own scratch region c, as long as the
   // block itself.
+  for (auto& q : out.queues) q.clear();
+  const std::size_t count = frontier.size();
   const std::size_t head = std::min(count, kClassifyBlock);
-  for (auto& q : out.queues) q.reserve(head);
   const std::size_t tail = count - head;
   const auto scratch = tail == 0 ? nullptr
                                  : std::make_unique_for_overwrite<vertex_t[]>(
@@ -118,6 +102,17 @@ void classify_frontiers(const graph::Csr& g,
       out.queues[c].insert(out.queues[c].end(), share, share + sizes[b][c]);
     }
   }
+  // Cost: one balanced pass over the frontier — load vertex id + two row
+  // offsets (degree), store into one of four bins.
+  sim::WarpAccumulator acc(mm.spec().warp_size);
+  acc.add_threads(frontier.size(), kScanCycles + kBinWriteCycles);
+  acc.charge(record);
+  mm.record_load(record.mem, sim::AccessPattern::kSequential, frontier.size(),
+                 sizeof(graph::vertex_t));
+  mm.record_load(record.mem, sim::AccessPattern::kStrided, frontier.size(),
+                 sizeof(graph::edge_t) * 2);  // row offsets of each frontier
+  mm.record_store(record.mem, sim::AccessPattern::kSequential, frontier.size(),
+                  sizeof(graph::vertex_t));
 }
 
 }  // namespace ent::enterprise

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -34,25 +33,20 @@ Granularity classify_degree(graph::edge_t degree,
 
 struct ClassifiedQueues {
   std::array<std::vector<graph::vertex_t>, 4> queues;  // index by Granularity
-  // Set when every entry of a non-empty frontier falls into one class. The
-  // queues then stay empty: the frontier itself is that class's queue.
-  std::optional<Granularity> uniform;
 
-  // Class `g` of `frontier`, the queue these classes were made from.
-  std::span<const graph::vertex_t> of(
-      Granularity g, std::span<const graph::vertex_t> frontier) const {
-    if (uniform.has_value()) {
-      return *uniform == g ? frontier : std::span<const graph::vertex_t>{};
-    }
+  std::vector<graph::vertex_t>& of(Granularity g) {
     return queues[static_cast<std::size_t>(g)];
   }
+  const std::vector<graph::vertex_t>& of(Granularity g) const {
+    return queues[static_cast<std::size_t>(g)];
+  }
+  std::size_t total() const;
 };
 
 // Splits `frontier` into the four queues of `out`, whose storage is reused.
-// A frontier of one class is not copied (ClassifiedQueues::uniform). The
-// degree lookups this performs on the GPU happen during bin scatter, so the
-// cost (sequential row-offset loads + queue stores) is charged to `record`,
-// for the whole frontier either way.
+// The degree lookups this performs on the GPU happen during bin scatter, so
+// the cost (sequential row-offset loads + queue stores) is charged to
+// `record`.
 void classify_frontiers(const graph::Csr& g,
                         std::span<const graph::vertex_t> frontier,
                         const sim::MemoryModel& mm, sim::KernelRecord& record,

@@ -16,18 +16,6 @@ double compute_gamma(graph::vertex_t hubs_in_frontier,
          static_cast<double>(total_hubs);
 }
 
-double compute_gamma(std::span<const graph::vertex_t> frontier,
-                     const std::vector<std::uint8_t>& hub_flags,
-                     graph::vertex_t total_hubs) {
-  graph::vertex_t in_queue = 0;
-  // Bounds guard: never fires on a valid frontier, keeps an injected
-  // silent flip in the queue from reading past the flag table.
-  for (graph::vertex_t v : frontier) {
-    if (v < hub_flags.size() && hub_flags[v] != 0) ++in_queue;
-  }
-  return compute_gamma(in_queue, total_hubs);
-}
-
 bool should_switch_to_bottom_up(const DirectionPolicy& policy, double alpha,
                                 double gamma, bool frontier_growing) {
   if (policy.use_gamma) return gamma > policy.gamma_threshold_percent;

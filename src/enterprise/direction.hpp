@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "graph/csr.hpp"
 
@@ -33,11 +31,6 @@ double compute_alpha(graph::edge_t unexplored_edges,
 // gamma: percentage of the graph's hub vertices that sit in the frontier
 // queue, from the count of hubs found there.
 double compute_gamma(graph::vertex_t hubs_in_frontier,
-                     graph::vertex_t total_hubs);
-
-// The same over an explicit frontier queue.
-double compute_gamma(std::span<const graph::vertex_t> frontier,
-                     const std::vector<std::uint8_t>& hub_flags,
                      graph::vertex_t total_hubs);
 
 // Decision: switch top-down -> bottom-up before expanding this frontier?

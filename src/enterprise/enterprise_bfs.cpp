@@ -165,10 +165,6 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   result.source = source;
 
   std::vector<vertex_t> queue{source};
-  // Each harvest fills this buffer, which then swaps with `queue`: both keep
-  // their storage for the run, and `queue` its address, which the shard
-  // holds.
-  std::vector<vertex_t> harvested;
   bool bottom_up = false;
   bool switched = false;
   // Order of the bottom-up queue: sorted with the chunked switch scan,
@@ -348,8 +344,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
       if (discovered != nullptr) {
-        gen.harvest(*discovered, harvested, qrec);
-        queue.swap(harvested);
+        gen.harvest(*discovered, queue, qrec);
       } else {
         queue = gen.top_down(status, next_level, qrec);
       }

@@ -134,12 +134,11 @@ class LevelLoop {
   // thread routes a frontier into one of four bins by out-degree), so it
   // joins the group rather than paying a separate launch. The class queues
   // and the group's records are the loop's own buffers, reused at every
-  // call; a queue whose frontiers all fall into one class is expanded in
-  // place, with classify still priced on all of it. With WB off, one kernel
-  // expands the whole queue at `fixed_granularity` (the paper's TS-only
-  // setup uses CTA, like the BL baseline). With a `trace` the kernels are
-  // listed in it, stream their spans and count the class sizes into
-  // enterprise.queue.<granularity>; a null `trace` only prices them.
+  // call. With WB off, one kernel expands the whole queue at
+  // `fixed_granularity` (the paper's TS-only setup uses CTA, like the BL
+  // baseline). With a `trace` the kernels are listed in it, stream their
+  // spans and count the class sizes into enterprise.queue.<granularity>; a
+  // null `trace` only prices them.
   template <std::invocable<std::span<const graph::vertex_t>, Granularity,
                            sim::KernelRecord&>
                 Expand>
@@ -174,7 +173,7 @@ class LevelLoop {
     items_.push_back(queue.size());
     for (Granularity gran : {Granularity::kThread, Granularity::kWarp,
                              Granularity::kCta, Granularity::kGrid}) {
-      const std::span<const graph::vertex_t> sub = classes_.of(gran, queue);
+      const std::vector<graph::vertex_t>& sub = classes_.of(gran);
       if (trace != nullptr) count_queue(gran, sub.size());
       if (sub.empty()) continue;
       sim::KernelRecord& rec = recs_.emplace_back();

@@ -1,6 +1,6 @@
 // Allocation budget of a deep search. A steady-state Enterprise level reuses
 // the scratch its LevelLoop and driver own (class queues, Hyper-Q records,
-// the two top-down queue buffers), so on the ROAD stand-in, whose searches
+// the top-down queue), so on the ROAD stand-in, whose searches
 // run 100+ narrow levels, what a search allocates per level is its
 // LevelTrace plus the run's own arrays spread over its levels. This
 // executable replaces the global operator new with one that counts while

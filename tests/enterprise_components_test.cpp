@@ -124,50 +124,12 @@ TEST(Classify, SplitsFrontiersByDegree) {
   const std::vector<vertex_t> frontier{0, 1};
   ClassifiedQueues q;
   classify_frontiers(g, frontier, dev.memory(), rec, q);
-  const auto of = [&](Granularity gran) {
-    const std::span<const vertex_t> sub = q.of(gran, frontier);
-    return std::vector<vertex_t>(sub.begin(), sub.end());
-  };
-  EXPECT_EQ(of(Granularity::kThread), (std::vector<vertex_t>{0}));
-  EXPECT_EQ(of(Granularity::kWarp), (std::vector<vertex_t>{1}));
-  EXPECT_TRUE(of(Granularity::kCta).empty());
-  EXPECT_EQ(of(Granularity::kThread).size() + of(Granularity::kWarp).size(),
-            2u);
+  EXPECT_EQ(q.of(Granularity::kThread),
+            (std::vector<vertex_t>{0}));
+  EXPECT_EQ(q.of(Granularity::kWarp), (std::vector<vertex_t>{1}));
+  EXPECT_TRUE(q.of(Granularity::kCta).empty());
+  EXPECT_EQ(q.total(), 2u);
   EXPECT_GT(rec.warp_cycles, 0u);
-}
-
-// A frontier of one class is expanded in place; classify is still charged for
-// every entry. A leading run of one class followed by another is copied.
-TEST(Classify, OneClassFrontierStaysInPlace) {
-  // Vertex 0: degree 2 (thread), vertex 1: degree 40 (warp), 2 and 3: 0.
-  std::vector<graph::Edge> edges{{0, 2}, {0, 3}};
-  for (vertex_t i = 0; i < 40; ++i) edges.push_back({1, 4 + i});
-  const graph::Csr g = graph::build_csr(64, std::move(edges));
-  sim::Device dev(sim::k40());
-  ClassifiedQueues q;
-
-  const std::vector<vertex_t> mixed{0, 2, 1, 3};
-  sim::KernelRecord mixed_rec;
-  classify_frontiers(g, mixed, dev.memory(), mixed_rec, q);
-  EXPECT_FALSE(q.uniform.has_value());
-  EXPECT_EQ(q.queues[0], (std::vector<vertex_t>{0, 2, 3}));
-  EXPECT_EQ(q.queues[1], (std::vector<vertex_t>{1}));
-
-  // The same ClassifiedQueues again: the earlier classes are dropped.
-  const std::vector<vertex_t> uniform{3, 0, 2, 0};
-  sim::KernelRecord rec;
-  classify_frontiers(g, uniform, dev.memory(), rec, q);
-  EXPECT_EQ(q.uniform, Granularity::kThread);
-  for (const auto& c : q.queues) EXPECT_TRUE(c.empty());
-  const std::span<const vertex_t> thread = q.of(Granularity::kThread, uniform);
-  EXPECT_EQ(thread.data(), uniform.data());
-  EXPECT_EQ(thread.size(), uniform.size());
-  EXPECT_TRUE(q.of(Granularity::kWarp, uniform).empty());
-  expect_same_record(rec, mixed_rec);
-
-  // An empty frontier has no class.
-  classify_frontiers(g, {}, dev.memory(), rec, q);
-  EXPECT_FALSE(q.uniform.has_value());
 }
 
 TEST(Classify, GranularityNames) {
@@ -184,11 +146,15 @@ TEST(Direction, AlphaRatio) {
 
 TEST(Direction, GammaPercentage) {
   std::vector<std::uint8_t> flags{1, 0, 1, 0};
+  const auto hubs_in = [&](const std::vector<vertex_t>& queue) {
+    return static_cast<vertex_t>(std::count_if(
+        queue.begin(), queue.end(), [&](vertex_t v) { return flags[v] != 0; }));
+  };
   const std::vector<vertex_t> frontier{0, 1, 2};
-  EXPECT_DOUBLE_EQ(compute_gamma(frontier, flags, 2), 100.0);  // both hubs in
+  EXPECT_DOUBLE_EQ(compute_gamma(hubs_in(frontier), 2), 100.0);  // both hubs in
   const std::vector<vertex_t> partial{0, 1};
-  EXPECT_DOUBLE_EQ(compute_gamma(partial, flags, 2), 50.0);
-  EXPECT_DOUBLE_EQ(compute_gamma(partial, flags, 0), 0.0);
+  EXPECT_DOUBLE_EQ(compute_gamma(hubs_in(partial), 2), 50.0);
+  EXPECT_DOUBLE_EQ(compute_gamma(hubs_in(partial), 0), 0.0);
 }
 
 TEST(Direction, PolicySelectsIndicator) {
@@ -483,13 +449,10 @@ TEST_F(PooledKernels, ClassifyMatchesAtEveryPoolSize) {
                          queues.emplace_back());
       recs.push_back(rec);
     }
-    std::size_t total = 0;
-    for (const auto& q : queues.front().queues) total += q.size();
-    EXPECT_EQ(total, frontier->size());
+    EXPECT_EQ(queues.front().total(), frontier->size());
     for (std::size_t i = 1; i < queues.size(); ++i) {
       SCOPED_TRACE(::testing::Message() << kPoolSizes[i] << " threads");
       EXPECT_EQ(queues[i].queues, queues.front().queues);
-      EXPECT_EQ(queues[i].uniform, queues.front().uniform);
       expect_same_record(recs[i], recs.front());
     }
   }
